@@ -240,6 +240,33 @@ let summaries_equal a b =
          && x.l1_hits = y.l1_hits)
        a b
 
+(* Memo work gate, on a deterministic counter rather than wall time:
+   a structured address map's location table holds one period, so the
+   lines [Line_memo.create] evaluates must not grow with the workload's
+   scale (checked against the same workload's full-scale layout) and
+   must stay within 2^16. *)
+let check_memo_work (cfg : Machine.Config.t) amap name memo =
+  let lines = Locmap.Line_memo.lines_evaluated memo in
+  let full =
+    let prog = (Workloads.Registry.find name).program ~scale:1.0 () in
+    Locmap.Line_memo.lines_evaluated
+      (Locmap.Line_memo.create cfg amap
+         (Ir.Layout.allocate ~page_size:cfg.page_size prog))
+  in
+  if lines <> full then begin
+    Printf.eprintf
+      "FATAL: %s: line memo evaluated %d lines at scale %.2f but %d at \
+       scale 1.0\n"
+      name lines !scale full;
+    exit 1
+  end;
+  if Machine.Addr_map.period_lines amap <> None && lines > 1 lsl 16 then begin
+    Printf.eprintf
+      "FATAL: %s: line memo evaluated %d lines on a structured map (> 2^16)\n"
+      name lines;
+    exit 1
+  end
+
 let () =
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
   let names =
@@ -274,6 +301,7 @@ let () =
         in
         let accesses = total_accesses trace sets in
         let memo = Locmap.Line_memo.create cfg amap (Ir.Trace.layout trace) in
+        check_memo_work cfg amap name memo;
         (* Tier coverage, counted once with instrumentation on (the
            timed runs below stay uninstrumented). *)
         let tiers =

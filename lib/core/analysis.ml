@@ -500,12 +500,11 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
   let identity = Line_memo.identity_translation memo in
   let bank0 = banks.(0) in
   (* Locations are resolved arithmetically through the address map plus
-     a 1-cell-per-node region table — NOT through the memo's per-line
-     location array. The replay is the one consumer whose access
-     pattern follows the program (an irregular workload replays random
-     lines), and there a multi-megabyte lookup table is itself a
-     cache-thrashing random read per miss, slower than recomputing the
-     interleave arithmetic. The memo still contributes the
+     a 1-cell-per-node region table. The memo's location table holds a
+     single address-map period and stays cache-resident, so reading it
+     would cost about the same: the replay's time goes to the L1 and
+     bank models, and swapping in memo lookups measured within noise on
+     the irregular kernels. The memo contributes the
      identity-translation hoist. *)
   let region_of_node =
     let regions = Region.create cfg in

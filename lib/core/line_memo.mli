@@ -1,23 +1,34 @@
-(** Line-granular memo of the address map.
+(** Line-granular memo of the address map, in closed form.
 
     Both summary-construction paths ask, for every access, where the
     line lives: its physical line, its home LLC bank (and that bank's
-    region) and its MC. All four are pure functions of the cache line
-    under a fixed [(Addr_map, Region)] pair, so this module precomputes
-    them once per layout — one flat array indexed by
-    [virtual address / l2_line] holding the physical line, and one
-    holding the (mc, region, node) triple packed into a single int —
-    and the per-access work in {!Analysis} collapses to one array load
-    plus a shift/mask.
+    region) and its MC. Under the paper's OS contract the interleaving
+    bits survive translation (Section 4), so the location is a periodic
+    function of the physical line index, and
+    {!Machine.Addr_map.period_lines} states the period P of every
+    structured map. This module evaluates the map once per line of
+    {e one period} — a table of P packed (mc, region, node) records —
+    and resolves line [l] through [l mod P]. The build costs O(P)
+    evaluations whatever the footprint (P is 1152 lines on the default
+    machine), and the table stays cache-resident.
+
+    A map without a period (all-to-all hashing, SNC-4 with per-page
+    domains) degenerates to a table over the footprint's lines, built
+    and read through the same code. Remapped pages change only which
+    physical line a virtual line reads: {!create} translates each
+    footprint page once into a page array, and lookups go through it
+    to the same table.
 
     Soundness: translation is page-granular and every location function
     depends on the address only through its line (and page), so a
-    per-line memo is exact whenever [l2_line] divides [page_size] —
+    per-line table is exact whenever [l2_line] divides [page_size] —
     guaranteed by every validated config. A degenerate hand-built
-    config, a layout larger than the memo cap, and any address outside
-    the layout footprint all fall back to direct {!Machine.Addr_map}
-    calls, so answers are {e always} identical to the direct path (the
-    determinism tests check this on random addresses).
+    config, an aperiodic map whose footprint exceeds the table cap, and
+    any address the table does not cover (an aperiodic map's line past
+    the footprint, a remapped address outside it) fall back to direct
+    {!Machine.Addr_map} calls, so answers are {e always} identical to
+    the direct path (the differential tests check this on every
+    registry footprint and on random configs).
 
     {b Thread safety}: the tables are built eagerly in {!create} and
     never mutated afterwards, so a memo may be shared freely across
@@ -33,14 +44,14 @@ val create :
   Machine.Addr_map.t ->
   Ir.Layout.t ->
   t
-(** Precomputes the tables for every line of the layout's footprint.
-    Cost is one address-map evaluation per line — amortised over the
-    (far larger) number of trace accesses that reuse it. [metrics]
+(** Builds the location table: one address-map evaluation per line of
+    the map's period (of the footprint for an aperiodic map), plus one
+    translation per footprint page when pages are remapped. [metrics]
     registers [locmap_line_memo_fallback_lookups_total], counting
-    lookups that bypassed the memo (degenerate config, oversized
-    layout, or out-of-footprint address); the memo-hit path is never
-    instrumented, so it stays a pure array load. Together with
-    [locmap_cme_accesses_total] this yields the memo hit rate. *)
+    lookups that called the address map directly (degenerate config,
+    or an address the table does not cover); the table-hit path is
+    never instrumented. Together with [locmap_cme_accesses_total] this
+    yields the memo hit rate. *)
 
 val addr_map : t -> Machine.Addr_map.t
 
@@ -55,12 +66,17 @@ val line_shift : t -> int
     shift instead of divide. *)
 
 val num_lines : t -> int
-(** Lines covered by the eager tables (0 when degenerate). *)
+(** Lines of the layout's footprint. *)
+
+val lines_evaluated : t -> int
+(** Address-map evaluations {!create} spent on the table: the map's
+    period for a structured map, independent of the footprint; the
+    footprint's lines for an aperiodic map; 0 when not {!memoized}. *)
 
 val memoized : t -> bool
-(** Whether the eager tables were built (false only for degenerate
-    configs or layouts beyond the memo cap — the fallback still answers
-    identically, just without the speedup). *)
+(** Whether the table was built (false only for degenerate configs or
+    an aperiodic map whose footprint exceeds the table cap — the
+    fallback still answers identically, just without the speedup). *)
 
 val translate : t -> int -> int
 (** Virtual-to-physical translation of any address, via the memo. *)
@@ -91,10 +107,9 @@ val loc_of_line : t -> int -> int
     [l * line_size]) — the symbolic tier's unit of lookup. *)
 
 val identity_translation : t -> bool
-(** True when virtual-to-physical translation is the identity over the
-    whole memoized footprint (no page remaps) — the observed replay
-    skips {!translate} entirely then. False whenever the memo is
-    degenerate. *)
+(** True when virtual-to-physical translation is the identity (the page
+    table held no remapped page when the address map was created) — the
+    observed replay skips {!translate} entirely then. *)
 
 val num_mcs : t -> int
 
@@ -105,14 +120,14 @@ val num_regions : t -> int
     The symbolic CME tier reduces an iteration set's misses and hits to
     address arithmetic progressions; resolving one progression needs
     the per-MC and per-region {e counts} of a contiguous line range,
-    not each line's location. Every structured address map's location
-    pattern is periodic in the line index (bank interleave cycles with
-    the node count, MC selection with [num_mcs] pages), so {!create}
-    builds prefix sums over one such period — {e verified} against the
-    eager tables, never assumed: a hash-interleaved or remapped map
-    that breaks periodicity degrades to a whole-footprint table when
-    small enough, else to no prefix ({!prefix_available} false, and
-    callers enumerate lines through {!loc_of_line} instead). *)
+    not each line's location. {!create} builds prefix sums over the
+    location table when it has at most 2^16 lines — always for a
+    structured map on a realistic mesh; an aperiodic map only when its
+    footprint is that small and no page is remapped. A count over a range is then whole-table
+    totals plus a prefix difference, one per physically contiguous run
+    of the range (a single run without remapped pages). Without the
+    tables, {!prefix_available} is false and callers enumerate lines
+    through {!loc_of_line} instead. *)
 
 val prefix_available : t -> bool
 
@@ -121,8 +136,9 @@ val add_mc_line_counts :
 (** [add_mc_line_counts t ~lo ~hi ~weight into] adds
     [weight * (lines of line-index range [lo, hi) served by MC m)] into
     [into.(m)], for every MC — O(num_mcs), independent of the range
-    length. Raises [Invalid_argument] when no prefix is available or
-    the range leaves the memoized footprint. *)
+    length (per run, when pages are remapped). Raises
+    [Invalid_argument] when no prefix is available or the range leaves
+    the footprint. *)
 
 val add_region_line_counts :
   t -> lo:int -> hi:int -> weight:int -> int array -> unit

@@ -75,8 +75,35 @@ let topology t = t.topo
 
 let translate t va = if t.identity then va else Mem.Page_table.translate t.pt va
 
+let identity_translation t = t.identity
 let num_mcs t = Array.length t.mc_nodes
 let num_nodes t = Noc.Topology.num_nodes t.topo
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+let lcm a b = a / gcd a b * b
+
+let period_lines t =
+  let page_lines = t.cfg.page_size / t.cfg.l2_line in
+  let unit_lines = function
+    | Mem.Distribution.Page_grain -> page_lines
+    | Mem.Distribution.Line_grain -> 1
+  in
+  if t.cfg.page_size mod t.cfg.l2_line <> 0 then None
+  else
+    match t.cfg.dist.cluster with
+    | Mem.Distribution.Mesh_default | Mem.Distribution.Quadrant ->
+        Some
+          (lcm
+             (unit_lines t.cfg.dist.mem_gran * num_mcs t)
+             (unit_lines t.cfg.dist.llc_gran * num_nodes t))
+    | Mem.Distribution.Snc4 when Mem.Page_table.domain_count t.pt = 0 ->
+        (* The domain cycles every 4 pages; within a domain the bank
+           cycles through that quadrant's members line by line. *)
+        Some
+          (Array.fold_left
+             (fun p members -> lcm p (max 1 (Array.length members)))
+             (4 * page_lines) t.quadrant_nodes)
+    | Mem.Distribution.Snc4 | Mem.Distribution.All_to_all -> None
 
 let mc_node t k = t.mc_nodes.(k)
 let quadrant_of_node t node = t.quadrant_of.(node)

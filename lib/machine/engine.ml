@@ -94,7 +94,9 @@ type state = {
   data_flits : int;
   shared : bool;
   mutable deferred : deferred option array;
-  mutable deferred_count : int;
+  mutable deferred_count : int;  (* slots ever handed out *)
+  mutable free_slots : int array;  (* slots whose event has fired *)
+  mutable free_count : int;
 }
 
 let new_core_state () =
@@ -203,15 +205,32 @@ let finish_phase_core st cs t =
 
 let num_core_ids st = Array.length st.cores
 
+(* A fired event's slot is reused, so the table stays as large as the
+   most events ever pending at once rather than growing with every
+   miss. The heap orders by time alone, so which slot an event gets
+   never changes the pop order. *)
 let schedule_deferred st ~time ev =
-  if st.deferred_count = Array.length st.deferred then begin
-    let bigger = Array.make (2 * Array.length st.deferred) None in
-    Array.blit st.deferred 0 bigger 0 st.deferred_count;
-    st.deferred <- bigger
-  end;
-  st.deferred.(st.deferred_count) <- Some ev;
-  Event_heap.push st.heap ~time ~id:(num_core_ids st + st.deferred_count);
-  st.deferred_count <- st.deferred_count + 1
+  let slot =
+    if st.free_count > 0 then begin
+      st.free_count <- st.free_count - 1;
+      st.free_slots.(st.free_count)
+    end
+    else begin
+      if st.deferred_count = Array.length st.deferred then begin
+        let n = Array.length st.deferred in
+        let bigger = Array.make (2 * n) None in
+        Array.blit st.deferred 0 bigger 0 n;
+        st.deferred <- bigger;
+        let free = Array.make (2 * n) 0 in
+        Array.blit st.free_slots 0 free 0 st.free_count;
+        st.free_slots <- free
+      end;
+      st.deferred_count <- st.deferred_count + 1;
+      st.deferred_count - 1
+    end
+  in
+  st.deferred.(slot) <- Some ev;
+  Event_heap.push st.heap ~time ~id:(num_core_ids st + slot)
 
 (* The core's pending access completed: consume it and resume. *)
 let resume_core st core t =
@@ -388,6 +407,8 @@ let process st id t =
     match st.deferred.(slot) with
     | Some ev ->
         st.deferred.(slot) <- None;
+        st.free_slots.(st.free_count) <- slot;
+        st.free_count <- st.free_count + 1;
         run_deferred st ev t
     | None -> invalid_arg "Engine: deferred event fired twice"
   end
@@ -484,6 +505,8 @@ let run ?(ideal_network = false) ?page_table cfg jobs =
       shared = Cache.Llc.equal cfg.Config.llc_org Cache.Llc.Shared;
       deferred = Array.make 1024 None;
       deferred_count = 0;
+      free_slots = Array.make 1024 0;
+      free_count = 0;
     }
   in
   (* Size each core's iteration buffer for its job. *)

@@ -35,3 +35,4 @@ let domain t ~addr ~default =
   | None -> default
 
 let remapped_count t = Hashtbl.length t.remap
+let domain_count t = Hashtbl.length t.domains

@@ -39,3 +39,6 @@ val domain : t -> addr:int -> default:int -> int
 
 val remapped_count : t -> int
 (** Number of pages with a non-identity mapping. *)
+
+val domain_count : t -> int
+(** Number of pages with a domain set by {!set_domain}. *)

@@ -65,50 +65,205 @@ let test_parallel_matches_sequential () =
         [ Cache.Llc.Shared; Cache.Llc.Private ])
 
 (* ------------------------------------------------------------------ *)
-(* The memoized map answers exactly like the direct address map, on
-   random addresses inside the layout and beyond it (the fallback
-   path). *)
+(* Memo versus address map: the period table must answer exactly like
+   the direct map. Each check compares translate, bank, region and MC
+   of a line against direct Addr_map calls, and the prefix range
+   counts against brute-force counts of the same lines. *)
 
+(* Builds a memo and checks it against its address map: every line of
+   the footprint plus 64 lines past its end, and [ranges] random
+   [lo, hi) count queries. [ctx] names the case in failures. *)
+let check_memo ~ctx ~rng ~ranges (cfg : Machine.Config.t) amap layout =
+  let memo = Locmap.Line_memo.create cfg amap layout in
+  let regions = Locmap.Region.create cfg in
+  let line = cfg.l2_line in
+  let num_lines = Locmap.Line_memo.num_lines memo in
+  let fail what va want got =
+    Alcotest.failf "%s: %s of va %d: address map %d, memo %d" ctx what va
+      want got
+  in
+  let check_line l =
+    (* The line's first and last byte: both resolve to the line. *)
+    List.iter
+      (fun va ->
+        let pa = Machine.Addr_map.translate amap va in
+        let got = Locmap.Line_memo.translate memo va in
+        if got <> pa then fail "translate" va pa got;
+        let node = Machine.Addr_map.bank_node_of amap pa in
+        let got = Locmap.Line_memo.bank_node_of memo va in
+        if got <> node then fail "bank" va node got;
+        let region = Locmap.Region.of_node regions node in
+        let got = Locmap.Line_memo.region_of memo va in
+        if got <> region then fail "region" va region got;
+        let mc = Machine.Addr_map.mc_of amap pa in
+        let got = Locmap.Line_memo.mc_of memo va in
+        if got <> mc then fail "mc" va mc got)
+      [ l * line; (l * line) + line - 1 ]
+  in
+  for l = 0 to num_lines + 63 do
+    check_line l
+  done;
+  if Locmap.Line_memo.prefix_available memo then
+    for _ = 1 to ranges do
+      let lo = Random.State.int rng (num_lines + 1) in
+      let hi = min num_lines (lo + Random.State.int rng 4097) in
+      let weight = 1 + Random.State.int rng 3 in
+      let mcs = Array.make (Locmap.Line_memo.num_mcs memo) 0 in
+      let rgs = Array.make (Locmap.Line_memo.num_regions memo) 0 in
+      Locmap.Line_memo.add_mc_line_counts memo ~lo ~hi ~weight mcs;
+      Locmap.Line_memo.add_region_line_counts memo ~lo ~hi ~weight rgs;
+      let want_mcs = Array.make (Array.length mcs) 0 in
+      let want_rgs = Array.make (Array.length rgs) 0 in
+      for l = lo to hi - 1 do
+        let pa = Machine.Addr_map.translate amap (l * line) in
+        let m = Machine.Addr_map.mc_of amap pa in
+        let r =
+          Locmap.Region.of_node regions (Machine.Addr_map.bank_node_of amap pa)
+        in
+        want_mcs.(m) <- want_mcs.(m) + weight;
+        want_rgs.(r) <- want_rgs.(r) + weight
+      done;
+      if mcs <> want_mcs || rgs <> want_rgs then
+        Alcotest.failf "%s: line counts over [%d, %d) differ from brute force"
+          ctx lo hi
+    done;
+  memo
+
+(* Registry layer: every line of every registry kernel's footprint, on
+   the default machine with private and shared LLCs. *)
 let test_line_memo_matches_addr_map () =
   let rng = Random.State.make [| 0x11ce |] in
   List.iter
     (fun name ->
       let _, trace = prepare name in
       let layout = Ir.Trace.layout trace in
-      let cfg = shared_cfg in
-      let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
-      let amap = Machine.Addr_map.create cfg pt in
-      let memo = Locmap.Line_memo.create cfg amap layout in
-      let regions = Locmap.Region.create cfg in
-      check_bool (name ^ ": memoized") true (Locmap.Line_memo.memoized memo);
-      let footprint = Ir.Layout.footprint layout in
-      for _ = 1 to 2000 do
-        (* 10% of probes land beyond the layout to hit the fallback. *)
-        let va =
-          if Random.State.int rng 10 = 0 then
-            footprint + Random.State.int rng 65536
-          else Random.State.int rng (max 1 footprint)
-        in
-        let pa = Machine.Addr_map.translate amap va in
-        check_int
-          (Printf.sprintf "%s: translate %d" name va)
-          pa
-          (Locmap.Line_memo.translate memo va);
-        let node = Machine.Addr_map.bank_node_of amap pa in
-        check_int
-          (Printf.sprintf "%s: bank of %d" name va)
-          node
-          (Locmap.Line_memo.bank_node_of memo va);
-        check_int
-          (Printf.sprintf "%s: region of %d" name va)
-          (Locmap.Region.of_node regions node)
-          (Locmap.Line_memo.region_of memo va);
-        check_int
-          (Printf.sprintf "%s: mc of %d" name va)
-          (Machine.Addr_map.mc_of amap pa)
-          (Locmap.Line_memo.mc_of memo va)
-      done)
-    [ "mxm"; "jacobi-3d"; "moldyn" ]
+      List.iter
+        (fun llc_org ->
+          let cfg = { Machine.Config.default with llc_org } in
+          let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
+          let amap = Machine.Addr_map.create cfg pt in
+          let memo =
+            check_memo ~ctx:name ~rng ~ranges:20 cfg amap layout
+          in
+          check_bool (name ^ ": memoized") true
+            (Locmap.Line_memo.memoized memo))
+        [ Cache.Llc.Private; Cache.Llc.Shared ])
+    Workloads.Registry.names
+
+(* Random-config layer. Config [seed] fixes the mesh, MC placement,
+   page and line sizes, both interleaving grains, the cluster mode
+   (seed mod 4 and (seed / 4) mod 4 cover every mode and grain pair)
+   and the page-table state: 0-16 remapped pages, and SNC-4 domains on
+   every other SNC-4 seed. Seed 0 is the page-grain-LLC 4x4 mesh whose
+   bank period (512 lines) is not the lcm of node count and MC span.
+   Set LOCMAP_MEMO_SEED to replay one seed. *)
+let random_memo_case progs seed =
+  let rng = Random.State.make [| 0x9e3; seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let int_in lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let divisors n = List.filter (fun d -> n mod d = 0) (List.init n succ) in
+  let grain g = if g = 0 then Mem.Distribution.Page_grain else Line_grain in
+  let cluster =
+    List.nth
+      Mem.Distribution.[ Mesh_default; All_to_all; Quadrant; Snc4 ]
+      (seed mod 4)
+  in
+  let cfg =
+    if seed = 0 then
+      {
+        Machine.Config.default with
+        rows = 4;
+        cols = 4;
+        region_h = 2;
+        region_w = 2;
+        page_size = 2048;
+        l2_line = 64;
+        llc_org = Cache.Llc.Shared;
+        dist =
+          {
+            mem_gran = Page_grain;
+            llc_gran = Page_grain;
+            cluster = Mesh_default;
+          };
+      }
+    else begin
+      let rows = int_in 2 8 and cols = int_in 2 8 in
+      let mc_placement =
+        match Random.State.int rng 3 with
+        | 0 -> Noc.Topology.Corners
+        | 1 -> Noc.Topology.Edge_midpoints
+        | _ ->
+            let k = int_in 1 (min 7 (rows * cols)) in
+            let nodes = Array.init (rows * cols) Fun.id in
+            for i = Array.length nodes - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let x = nodes.(i) in
+              nodes.(i) <- nodes.(j);
+              nodes.(j) <- x
+            done;
+            Noc.Topology.Custom
+              (List.init k (fun i ->
+                   Noc.Coord.make ~row:(nodes.(i) / cols)
+                     ~col:(nodes.(i) mod cols)))
+      in
+      {
+        Machine.Config.default with
+        rows;
+        cols;
+        region_h = pick (divisors rows);
+        region_w = pick (divisors cols);
+        mc_placement;
+        page_size = pick [ 1024; 2048; 4096 ];
+        l2_line = pick [ 32; 64; 128 ];
+        llc_org = pick [ Cache.Llc.Private; Cache.Llc.Shared ];
+        dist =
+          {
+            mem_gran = grain (seed / 4 mod 2);
+            llc_gran = grain (seed / 8 mod 2);
+            cluster;
+          };
+      }
+    end
+  in
+  let layout =
+    Ir.Layout.allocate ~page_size:cfg.page_size (pick progs)
+  in
+  let pages = (Ir.Layout.footprint layout + cfg.page_size - 1) / cfg.page_size in
+  let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
+  let remaps = if seed mod 3 = 0 then 0 else int_in 1 16 in
+  for _ = 1 to remaps do
+    (* Targets may leave the footprint, and runs of consecutive pages
+       keep some physical contiguity across a remapped block. *)
+    let vpage = Random.State.int rng (pages + 2) in
+    let ppage = Random.State.int rng ((2 * pages) + 8) in
+    for k = 0 to Random.State.int rng 3 do
+      Mem.Page_table.remap_page pt ~vpage:(vpage + k) ~ppage:(ppage + k)
+    done
+  done;
+  if cluster = Mem.Distribution.Snc4 && seed / 4 mod 2 = 1 then
+    for _ = 1 to int_in 1 8 do
+      Mem.Page_table.set_domain pt
+        ~vpage:(Random.State.int rng (2 * pages))
+        (Random.State.int rng 4)
+    done;
+  let amap = Machine.Addr_map.create cfg pt in
+  let ctx =
+    Format.asprintf "config seed %d (%dx%d, %d MCs, %a, page %d, line %d)"
+      seed cfg.rows cfg.cols (Machine.Config.num_mcs cfg) Mem.Distribution.pp
+      cfg.dist cfg.page_size cfg.l2_line
+  in
+  ignore (check_memo ~ctx ~rng ~ranges:12 cfg amap layout)
+
+let test_line_memo_random_configs () =
+  let progs =
+    List.map (fun name -> fst (prepare ~scale:0.05 name)) [ "mxm"; "moldyn" ]
+  in
+  match Sys.getenv_opt "LOCMAP_MEMO_SEED" with
+  | Some s -> random_memo_case progs (int_of_string s)
+  | None ->
+      for seed = 0 to 255 do
+        random_memo_case progs seed
+      done
 
 (* ------------------------------------------------------------------ *)
 (* Fast-path summaries satisfy the semantic verifier's invariants. *)
@@ -390,6 +545,8 @@ let () =
         [
           Alcotest.test_case "memo = direct address map" `Quick
             test_line_memo_matches_addr_map;
+          Alcotest.test_case "memo = direct address map (random configs)"
+            `Quick test_line_memo_random_configs;
         ] );
       ( "invariants",
         [
