@@ -1,17 +1,14 @@
 (* locmap-lint — the concurrency analyzer over this repository's
    sources.
 
-     locmap_lint                               # AST rules over lib/ bin/ bench/
+     locmap_lint                               # every rule over lib/ bin/ bench/
      locmap_lint lib/net                       # one subtree
-     locmap_lint --lexical                     # add the lexical fallback tier
      locmap_lint --json findings.json          # machine-readable CI artifact
      locmap_lint --selftest test/fixtures/ast_lint   # seeded-rule gate
 
-   The default tier is [Verify.Ast_lint]: parsetree-based lock-order,
-   blocking-under-lock, and domain-escape analysis, interprocedural
-   over a per-run call graph. The PR-3 lexical scan ([Verify.Lint])
-   remains available as a fallback tier (--lexical, or alone with
-   --no-ast).
+   The analysis is [Verify.Ast_lint]: parsetree-based lock-order,
+   blocking-under-lock, domain-escape and unguarded-global rules,
+   interprocedural over a per-run call graph.
 
    Exit status: 0 when clean, 1 when any finding (or a failed
    self-test), 2 on usage errors. *)
@@ -35,20 +32,6 @@ let exclude_arg =
         ~doc:
           "Path prefix to skip (repeatable), e.g. --exclude lib/harness. \
            $(i,_build) and dot-directories are always skipped.")
-
-let no_ast_arg =
-  Arg.(
-    value & flag
-    & info [ "no-ast" ]
-        ~doc:"Disable the AST analyses (lexical tier only; implies --lexical).")
-
-let lexical_arg =
-  Arg.(
-    value & flag
-    & info [ "lexical" ]
-        ~doc:
-          "Also run the lexical fallback tier (PR-3 token-scan rules: \
-           unguarded-global, mutable-field-no-mutex, ...).")
 
 let require_mli_arg =
   Arg.(
@@ -97,8 +80,7 @@ let write_json path findings =
       (fun () -> output_string oc body)
   end
 
-let run paths exclude no_ast lexical require_mli no_contract json selftest
-    quiet =
+let run paths exclude require_mli no_contract json selftest quiet =
   match selftest with
   | Some dir -> (
       match Verify.Ast_lint.selftest ~dir with
@@ -116,30 +98,14 @@ let run paths exclude no_ast lexical require_mli no_contract json selftest
             exit 2
           end)
         paths;
-      let ast_findings =
-        if no_ast then []
-        else
-          Verify.Ast_lint.scan_dirs
-            ~config:
-              {
-                Verify.Ast_lint.lock_rules = true;
-                escape_rules = true;
-                contract_rule = not no_contract;
-                require_mli;
-              }
-            ~exclude paths
+      let findings =
+        Verify.Ast_lint.scan_dirs
+          ~config:
+            { Verify.Ast_lint.contract_rule = not no_contract; require_mli }
+          ~exclude paths
       in
-      let lexical_findings =
-        if lexical || no_ast then
-          (* The AST tier owns the contract rule; don't report it
-             twice when both tiers run. *)
-          Verify.Lint.scan_dirs ~require_contract:no_ast
-            ~require_mli:false paths
-        else []
-      in
-      let findings = ast_findings @ lexical_findings in
       List.iter
-        (fun f -> Format.printf "%a@." Verify.Lint.pp_finding f)
+        (fun f -> Format.printf "%a@." Verify.Ast_source.pp_finding f)
         findings;
       Option.iter (fun p -> write_json p findings) json;
       (match findings with
@@ -161,6 +127,5 @@ let () =
        (Cmd.v
           (Cmd.info "locmap_lint" ~version:"2.0.0" ~doc)
           Term.(
-            const run $ paths_arg $ exclude_arg $ no_ast_arg $ lexical_arg
-            $ require_mli_arg $ no_contract_arg $ json_arg $ selftest_arg
-            $ quiet_arg)))
+            const run $ paths_arg $ exclude_arg $ require_mli_arg
+            $ no_contract_arg $ json_arg $ selftest_arg $ quiet_arg)))

@@ -21,11 +21,7 @@ let improvement cfg trace =
 
 let () =
   let entry = Workloads.Registry.find "lulesh" in
-  let prog = entry.program ~scale:0.5 () in
-  let layout =
-    Ir.Layout.allocate ~page_size:Machine.Config.default.page_size prog
-  in
-  let trace = Ir.Trace.create prog layout in
+  let trace = Locmap.Mapper.trace_of_program (entry.program ~scale:0.5 ()) in
 
   let machines =
     [

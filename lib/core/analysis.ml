@@ -44,7 +44,7 @@ let multiples_in p ~lo ~hi = ((hi + p - 1) / p) - ((lo + p - 1) / p)
 type cme_stats = {
   (* One record per shard range, never shared across domains; flushed
      into the registry's sharded counters at range end. *)
-  mutable st_accesses : int;  (* lint:ignore — closed-form executions *)
+  mutable st_accesses : int;  (* closed-form executions *)
   mutable st_bulk_l1_hits : int;  (* L1 hits counted without visiting *)
   mutable st_visited : int;  (* executions visited individually *)
   mutable st_line_blocks : int;  (* bulk line-block summary updates *)

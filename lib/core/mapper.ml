@@ -99,6 +99,14 @@ let place_within_regions (cfg : Machine.Config.t) regions rng ~allowed
     region_of_set;
   core_of
 
+(* Layouts are 8 KB-aligned, so the default page size keeps them
+   page-aligned for any configured page size below 8 KB: a machine with
+   another page size changes only the interleaving. *)
+let trace_of_program prog =
+  Ir.Trace.create prog
+    (Ir.Layout.allocate
+       ~page_size:Machine.Config.default.Machine.Config.page_size prog)
+
 let default_schedule ?fraction (cfg : Machine.Config.t) trace =
   let fraction =
     Option.value fraction ~default:cfg.Machine.Config.iter_set_fraction

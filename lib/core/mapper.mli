@@ -19,7 +19,7 @@
     [map] allocates its own page table (unless one is passed in), RNG
     (seeded from [cfg.seed], which also makes runs deterministic),
     caches and working arrays, so concurrent calls from multiple
-    domains — as issued by [Service.Pool] workers — are safe provided
+    domains — as issued by [Par.Pool] workers — are safe provided
     callers do not share a mutable [page_table] argument across
     concurrent calls. *)
 
@@ -45,6 +45,13 @@ type info = {
   overhead_cycles : int;  (** one-time runtime-scheme cost *)
   estimation : estimation;  (** the estimation mode actually used *)
 }
+
+val trace_of_program : Ir.Program.t -> Ir.Trace.t
+(** Lay [prog] out at {!Machine.Config.default}'s page size and compile
+    its trace: the input every caller hands to {!map}. Layouts are 8
+    KB-aligned, so they stay page-aligned for any configured page size
+    below 8 KB, and a machine with another page size changes only the
+    interleaving. *)
 
 val map :
   ?estimation:estimation ->

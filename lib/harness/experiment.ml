@@ -7,14 +7,7 @@ type prepared = {
 
 let prepare ?(scale = 1.0) (entry : Workloads.Registry.entry) =
   let prog = entry.program ~scale () in
-  (* The layout uses the default page size; experiments that change the
-     page size only affect interleaving, and layouts stay page-aligned
-     for any power-of-two page size below 8 KB because arrays are 8 KB
-     aligned. *)
-  let layout =
-    Ir.Layout.allocate ~page_size:Machine.Config.default.page_size prog
-  in
-  { entry; scale; prog; trace = Ir.Trace.create prog layout }
+  { entry; scale; prog; trace = Locmap.Mapper.trace_of_program prog }
 
 let prepare_name ?scale name =
   prepare ?scale (Workloads.Registry.find name)

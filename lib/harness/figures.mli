@@ -9,7 +9,7 @@
 
     {b Thread safety}: each driver prints to stdout and must be run
     from a single thread; drivers share no mutable state with each
-    other, so distinct figures may run in parallel from {!Pool}
+    other, so distinct figures may run in parallel from {!Par.Pool}
     workers only if their output is serialised by the caller. *)
 
 type fig = {

@@ -2,7 +2,7 @@
     reports.
 
     {b Thread safety}: the statistics helpers are pure; {!table}
-    prints to stdout and concurrent callers (e.g. {!Pool} workers)
+    prints to stdout and concurrent callers (e.g. {!Par.Pool} workers)
     must serialise their own output. *)
 
 val table :

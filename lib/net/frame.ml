@@ -8,7 +8,7 @@ type t = {
   max_line : int;
   acc : Buffer.t;  (** the current incomplete line *)
   pending : frame Queue.t;  (** complete frames not yet taken *)
-  mutable discarded : int;  (* lint:ignore — connection-confined, see .mli *)
+  mutable discarded : int;  (* connection-confined, see .mli *)
   mutable discarding : bool;
   mutable closed : bool;
 }

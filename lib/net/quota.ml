@@ -7,8 +7,8 @@ type config = {
 let default_config = { rate = 50.; burst = 25.; max_clients = 1024 }
 
 type bucket = {
-  mutable tokens : float;  (* lint:ignore — guarded by [t.lock] *)
-  mutable last_ns : int64;  (* lint:ignore — guarded by [t.lock] *)
+  mutable tokens : float;  (* guarded by [t.lock] *)
+  mutable last_ns : int64;  (* guarded by [t.lock] *)
 }
 
 type instruments = {

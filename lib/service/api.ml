@@ -69,7 +69,7 @@ let instruments im =
 
 type t = {
   cache : Response.payload Solution_cache.t;
-  pool : Pool.t;
+  pool : Par.Pool.t;
   resilience : Resilience.policy;
   injection : Fault_injection.plan;
   obs : instruments option;
@@ -100,7 +100,7 @@ let create ?(cache_capacity = 512) ?(num_domains = 1)
     ?metrics ?tracer () =
   {
     cache = Solution_cache.create ~capacity:cache_capacity ?metrics ();
-    pool = Pool.create ~num_domains ?metrics ();
+    pool = Par.Pool.create ~num_domains ?metrics ();
     resilience;
     injection;
     obs = Option.map instruments metrics;
@@ -131,16 +131,10 @@ let plain_compute ?metrics ?on_phase (req : Request.t) :
         | Error e -> Error (Fault.Invalid_request ("invalid machine config: " ^ e))
         | Ok () -> (
             try
-              let prog = entry.program ~scale:req.scale () in
-              (* Layouts are 8 KB-aligned, so the default page size keeps
-                 them page-aligned for any configured size below 8 KB —
-                 same convention as [Harness.Experiment.prepare]. *)
-              let layout =
-                Ir.Layout.allocate
-                  ~page_size:Machine.Config.default.Machine.Config.page_size
-                  prog
+              let trace =
+                Locmap.Mapper.trace_of_program
+                  (entry.program ~scale:req.scale ())
               in
-              let trace = Ir.Trace.create prog layout in
               let o = req.options in
               let estimation =
                 match o.estimation with
@@ -319,7 +313,7 @@ let submit_batch (t : t) (reqs : Request.t array) : Response.t array =
     | Some inst -> Obs.Metrics.time inst.i_request_ms computed
     | None -> computed ()
   in
-  let raw = Pool.try_map t.pool run_one todo in
+  let raw = Par.Pool.try_map t.pool run_one todo in
   (* Pass 3 (sequential again): classify crashes, degrade if the policy
      says so, store cacheable solutions, and assemble responses in
      submission order. Degraded payloads are never cached: the cheap
@@ -432,14 +426,14 @@ let stats (t : t) =
     computed;
     degraded;
     retried;
-    crashes = Pool.crashes t.pool;
+    crashes = Par.Pool.crashes t.pool;
     cache = Solution_cache.counters t.cache;
     cache_entries = Solution_cache.length t.cache;
     cache_capacity = Solution_cache.capacity t.cache;
-    num_domains = Pool.num_domains t.pool;
+    num_domains = Par.Pool.num_domains t.pool;
   }
 
-let shutdown (t : t) = Pool.shutdown t.pool
+let shutdown (t : t) = Par.Pool.shutdown t.pool
 
 let pp_stats ppf s =
   let total = s.cache.hits + s.cache.misses in

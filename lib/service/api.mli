@@ -1,6 +1,6 @@
 (** The service front-end: submit mapping requests, get responses.
 
-    An [Api.t] owns a {!Solution_cache}, a {!Pool}, a
+    An [Api.t] owns a {!Solution_cache}, a {!Par.Pool}, a
     {!Resilience.policy} and (for chaos testing) a
     {!Fault_injection.plan}. {!submit_batch} looks every request up in
     the cache, deduplicates the misses by canonical hash, fans the

@@ -30,7 +30,7 @@
       decision — for exercising real deadline overruns.
 
     A [Worker_crashed] fault is raised as {!Fault.Crash} (simulated
-    domain death, handled by {!Pool}); every other fault is raised as
+    domain death, handled by {!Par.Pool}); every other fault is raised as
     {!Fault.Error} and handled at the request boundary. *)
 
 type action =

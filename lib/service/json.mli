@@ -13,7 +13,7 @@
 
     {b Thread safety}: values are immutable and the encoder/decoder
     keep no shared state; all functions are safe to call from
-    concurrent {!Pool} workers without synchronisation. *)
+    concurrent {!Par.Pool} workers without synchronisation. *)
 
 type t =
   | Null

@@ -16,7 +16,7 @@
 
     {b Thread safety}: responses and payloads are immutable, so
     sharing one payload across requests — and across concurrent
-    {!Pool} workers — needs no synchronisation. *)
+    {!Par.Pool} workers — needs no synchronisation. *)
 
 type payload = {
   workload : string;

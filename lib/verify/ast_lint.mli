@@ -2,10 +2,9 @@
     {!Escape_analysis} over {!Ast_source}-parsed files, applies
     suppression markers, and renders findings for humans and CI.
 
-    This is the symbolic replacement for the lexical {!Lint} pass:
-    instead of token heuristics it analyses the parsetree and a
-    per-run call graph of top-level bindings, so lock discipline is
-    checked across function and library boundaries. Rules:
+    It analyses the parsetree and a per-run call graph of top-level
+    bindings, so lock discipline is checked across function and
+    library boundaries. Rules:
 
     - [lock-order-cycle] — the global lock-acquisition-order graph has
       a cycle (potential deadlock between domains).
@@ -18,11 +17,13 @@
     - [domain-escape] — a closure handed to [Domain.spawn]/[Pool]
       submission captures mutable state without its lock (see
       {!Escape_analysis}).
+    - [unguarded-global] — a function reachable from such a closure
+      through call sites that hold no lock uses a top-level mutable
+      binding with no lock held (see {!Escape_analysis}).
     - [missing-thread-safety-contract] — the implementation has a
       concurrency surface (mutex/atomic/domain use, shared mutable
       state) but its [.mli] documents no thread-safety contract.
-      AST-driven: pure modules are exempt, unlike the lexical tier's
-      blanket requirement.
+      Pure modules are exempt.
     - [missing-interface] (opt-in) — a scanned [.ml] has no [.mli].
     - [parse-error] — the file did not parse; it contributes nothing
       else to the scan.
@@ -33,15 +34,11 @@
 
     {b Thread safety}: stateless; scanning allocates per call. *)
 
-type config = {
-  lock_rules : bool;
-  escape_rules : bool;
-  contract_rule : bool;
-  require_mli : bool;
-}
+type config = { contract_rule : bool; require_mli : bool }
+(** The two opt-in/opt-out rules; the lock and escape rules always run. *)
 
 val default_config : config
-(** Everything on except [require_mli]. *)
+(** The contract rule on, [missing-interface] off. *)
 
 val rules : string list
 (** Every rule id this lint can emit. *)
@@ -50,20 +47,23 @@ type unit_ = { src : Ast_source.t; intf : string option }
 (** One compilation unit: parsed implementation plus raw sibling
     interface text, when present. *)
 
-val scan_units : ?config:config -> unit_ list -> Lint.finding list
+val scan_units : ?config:config -> unit_ list -> Ast_source.finding list
 (** Analyse the units as one program (one call graph). Pure. *)
 
-val scan_files : ?config:config -> string list -> Lint.finding list
+val scan_files : ?config:config -> string list -> Ast_source.finding list
 (** Read each [.ml] path (and sibling [.mli]) and {!scan_units}. *)
 
 val scan_dirs :
-  ?config:config -> ?exclude:string list -> string list -> Lint.finding list
+  ?config:config ->
+  ?exclude:string list ->
+  string list ->
+  Ast_source.finding list
 (** {!scan_files} over every [.ml] under the given roots (recursive,
     sorted, [_build] and dot-directories skipped; a plain file is
     scanned directly). [exclude] entries are path prefixes relative to
     how the roots are spelled, e.g. ["lib/verify"]. *)
 
-val to_json : Lint.finding list -> string
+val to_json : Ast_source.finding list -> string
 (** Machine-readable findings: [{"findings":[{file,line,rule,message}
     …],"count":n}] — the CI artifact format. *)
 

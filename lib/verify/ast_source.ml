@@ -77,3 +77,8 @@ let suppressed t ~line ~rule =
   | None -> false
   | Some All -> true
   | Some (Rules rs) -> List.mem rule rs
+
+type finding = { file : string; line : int; rule : string; message : string }
+
+let pp_finding ppf f =
+  Format.fprintf ppf "%s:%d: [%s] %s" f.file f.line f.rule f.message

@@ -38,3 +38,14 @@ val read : string -> t
 
 val suppressed : t -> line:int -> rule:string -> bool
 (** Does a [lint:ignore] marker on [line] cover [rule]? *)
+
+type finding = {
+  file : string;
+  line : int;  (** 1-based *)
+  rule : string;
+  message : string;
+}
+(** One lint finding, as every analysis reports it. *)
+
+val pp_finding : Format.formatter -> finding -> unit
+(** [file:line: [rule] message]. *)

@@ -100,7 +100,7 @@ type use = { u_line : int; u_what : string }
    closure binds itself; [locked] is true inside a [Mutex.protect]/
    [Mutex.lock] region. Collects (a) uses of captured names, and
    (b) unlocked mutations whose target is captured. *)
-let scan_closure ~modname body =
+let scan_closure body =
   let uses : (string, use list) Hashtbl.t = Hashtbl.create 16 in
   let mutations : (string * use) list ref = ref [] in
   let line e = e.pexp_loc.Location.loc_start.Lexing.pos_lnum in
@@ -208,14 +208,13 @@ let scan_closure ~modname body =
         in
         Ast_iterator.default_iterator.expr it e
   in
-  ignore modname;
   walk [] false body;
   (uses, !mutations)
 
 (* ------------------------------------------------------------------ *)
-(* The rule. *)
+(* The domain-escape rule. *)
 
-let analyze (cg : Callgraph.t) =
+let domain_escapes (cg : Callgraph.t) =
   let findings = ref [] in
   let kinds_by_src = Hashtbl.create 8 in
   List.iter
@@ -234,7 +233,7 @@ let analyze (cg : Callgraph.t) =
           (fun message ->
             findings :=
               {
-                Lint.file = src.Ast_source.path;
+                Ast_source.file = src.Ast_source.path;
                 line;
                 rule = "domain-escape";
                 message = Printf.sprintf "in %s: %s" f.fq message;
@@ -245,9 +244,7 @@ let analyze (cg : Callgraph.t) =
       let check_sink sink_name closure =
         let params, body = Callgraph.peel_params closure in
         let bound0 = List.map Callgraph.strip_param params in
-        let uses, mutations =
-          scan_closure ~modname:src.Ast_source.modname body
-        in
+        let uses, mutations = scan_closure body in
         (* strip closure parameters from both result sets *)
         let captured_uses =
           Hashtbl.fold
@@ -312,3 +309,78 @@ let analyze (cg : Callgraph.t) =
       hunt f.body)
     cg.funcs;
   !findings
+
+(* ------------------------------------------------------------------ *)
+(* [unguarded-global]: the interprocedural half. Functions reachable
+   from an async sink run on another domain; a top-level mutable
+   binding they use with no lock held is shared unguarded. Reachability
+   and lock sets both come from {!Lock_analysis}'s sites, so a closure
+   replayed under a guard wrapper counts as guarded. Uses inside the
+   spawned closure itself are the domain-escape rule's. *)
+
+let unguarded_globals (cg : Callgraph.t) reach =
+  let key (f : Callgraph.func) = (f.src.Ast_source.path, f.line, f.fq) in
+  (* A closure replayed under a guard wrapper records its sites twice,
+     at the same offsets; a record with a lock held guards the offset. *)
+  let unguarded sites =
+    let guarded = Hashtbl.create 16 in
+    List.iter
+      (fun (s : Lock_analysis.site) ->
+        if s.held <> [] then Hashtbl.replace guarded s.pos ())
+      sites;
+    List.filter
+      (fun (s : Lock_analysis.site) ->
+        s.held = [] && not (Hashtbl.mem guarded s.pos))
+      sites
+  in
+  let sites_of = Hashtbl.create 256 in
+  List.iter
+    (fun (f, sites) -> Hashtbl.replace sites_of (key f) (unguarded sites))
+    reach;
+  let resolve (f : Callgraph.func) (s : Lock_analysis.site) =
+    Callgraph.resolve cg ~current_module:f.src.Ast_source.modname s.target
+  in
+  let chain_of = Hashtbl.create 64 and queue = Queue.create () in
+  let visit chain (g : Callgraph.func) =
+    if g.params <> [] && not (Hashtbl.mem chain_of (key g)) then begin
+      Hashtbl.replace chain_of (key g)
+        (if String.length chain < 120 then chain ^ " -> " ^ g.fq else chain);
+      Queue.push g queue
+    end
+  in
+  List.iter
+    (fun ((f : Callgraph.func), _) ->
+      List.iter
+        (fun (s : Lock_analysis.site) ->
+          if s.spawned then List.iter (visit f.fq) (resolve f s))
+        (Hashtbl.find sites_of (key f)))
+    reach;
+  let findings = ref [] in
+  while not (Queue.is_empty queue) do
+    let f = Queue.pop queue in
+    let chain = Hashtbl.find chain_of (key f) in
+    List.iter
+      (fun (s : Lock_analysis.site) ->
+        List.iter
+          (fun (g : Callgraph.func) ->
+            if g.params = [] && creator_kind g.body = Mutable then
+              findings :=
+                {
+                  Ast_source.file = f.src.Ast_source.path;
+                  line = s.line;
+                  rule = "unguarded-global";
+                  message =
+                    Printf.sprintf
+                      "in %s: top-level mutable %s is used with no lock \
+                       held, and this function runs on another domain \
+                       (spawned in %s)"
+                      f.fq g.fq chain;
+                }
+                :: !findings
+            else visit chain g)
+          (resolve f s))
+      (Hashtbl.find sites_of (key f))
+  done;
+  !findings
+
+let analyze cg reach = domain_escapes cg @ unguarded_globals cg reach

@@ -1,4 +1,5 @@
-(** Domain-escape analysis ({!Ast_lint} rule [domain-escape]).
+(** Domain-escape analysis ({!Ast_lint} rules [domain-escape] and
+    [unguarded-global]).
 
     Values captured by a closure handed to [Domain.spawn],
     [Thread.create], or a [Pool] submission ([submit]/[map]/[try_map])
@@ -17,15 +18,20 @@
 
     "No lock held" is judged inside the closure: a region under
     [Mutex.protect] or after [Mutex.lock] in the same sequence is
-    considered guarded. This replaces the lexical
-    [unguarded-global]/[unguarded-global-use] heuristics with AST
-    facts: reads of immutable captures, [Atomic] traffic, and
-    lock-disciplined access are never flagged, while mutation through
-    any captured alias is — the token scan could do neither.
+    considered guarded. Reads of immutable captures, [Atomic] traffic
+    and lock-disciplined access are never flagged; mutation through
+    any captured alias is.
 
-    The analysis is intra-closure: state reached through calls made by
-    the closure is covered by the interprocedural lock analysis, not
-    re-checked here.
+    The [domain-escape] rule is intra-closure. State reached through
+    calls is the [unguarded-global] rule's: every function reachable
+    from a sink argument through call sites (or uses of a function as
+    a value) with no lock held runs on another domain, and each use
+    there of a top-level mutable binding with no lock held is flagged.
+    Reachability and lock sets are {!Lock_analysis}'s, guard-wrapper
+    replay included: [with_lock (fun () -> lookup k)] is guarded.
+    Names are resolved like calls ({!Callgraph.resolve}); a local that
+    shadows a top-level binding is not told apart, except for the
+    enclosing function's parameters.
 
     {b Thread safety}: stateless; analysis allocates per call. *)
 
@@ -36,6 +42,10 @@ val toplevel_kinds : Ast_source.t -> (string, kind) Hashtbl.t
     the classification behind both the escape rule and {!Ast_lint}'s
     concurrency-surface test. *)
 
-val analyze : Callgraph.t -> Lint.finding list
-(** All domain-escape findings over the graph's sources, unfiltered
+val analyze :
+  Callgraph.t ->
+  (Callgraph.func * Lock_analysis.site list) list ->
+  Ast_source.finding list
+(** All domain-escape and unguarded-global findings over the graph's
+    sources, given {!Lock_analysis.analyze}'s sites; unfiltered
     (suppression markers are applied by {!Ast_lint}). *)

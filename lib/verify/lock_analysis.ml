@@ -8,11 +8,17 @@ type edge = {
   e_via : string;
 }
 
+type site = {
+  target : Longident.t;
+  held : string list;
+  line : int;
+  pos : int;
+  spawned : bool;
+}
+
 type call = {
-  callee : Longident.t;
-  held_at : string list;
-  call_line : int;
-  call_args : (Asttypes.arg_label * expression) list;
+  site : site;
+  args : (Asttypes.arg_label * expression) list;
   mutable replayed : bool;
 }
 
@@ -22,6 +28,7 @@ type summary = {
   mutable blockers : (string * string option * int) list;
       (** op, released mutex (Condition.wait), line *)
   mutable calls : call list;
+  mutable uses : site list;  (** identifiers read or passed as values *)
   mutable params_under_lock : (string * string list) list;
       (** stripped param name, locks held when it is invoked *)
 }
@@ -31,7 +38,8 @@ type ctx = {
   modname : string;
   file : string;
   params : string list;  (** stripped names of the enclosing function *)
-  findings : Lint.finding list ref;
+  spawned : bool;  (** walking an argument of an async sink *)
+  findings : Ast_source.finding list ref;
   edges : edge list ref;
 }
 
@@ -81,6 +89,20 @@ let is_async_sink parts =
 let is_closure e =
   match e.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
 
+let site ctx held (loc : Location.t) target =
+  {
+    target;
+    held;
+    line = loc.loc_start.pos_lnum;
+    pos = loc.loc_start.pos_cnum;
+    spawned = ctx.spawned;
+  }
+
+let add_call ctx held loc callee args =
+  ctx.sum.calls <-
+    { site = site ctx held loc callee; args; replayed = false }
+    :: ctx.sum.calls
+
 (* ------------------------------------------------------------------ *)
 (* Reporting.                                                          *)
 
@@ -89,7 +111,7 @@ let finding ctx ~line ~rule fmt =
     (fun message ->
       let message = Printf.sprintf "in %s: %s" ctx.sum.func.fq message in
       ctx.findings :=
-        { Lint.file = ctx.file; line; rule; message } :: !(ctx.findings))
+        { Ast_source.file = ctx.file; line; rule; message } :: !(ctx.findings))
     fmt
 
 let add_edge ctx ~line ?(via = "") from_lock to_lock =
@@ -151,10 +173,14 @@ let collect_unlocks ~modname e =
   !acc
 
 let rec walk ctx held (e : expression) : string list =
-  let line = e.pexp_loc.Location.loc_start.Lexing.pos_lnum in
   match e.pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt = lid; _ }; _ }, args) ->
-      apply ctx held ~line lid args
+      apply ctx held ~loc:e.pexp_loc lid args
+  | Pexp_ident { txt = Longident.Lident x; _ } when List.mem x ctx.params ->
+      held
+  | Pexp_ident { txt; _ } ->
+      ctx.sum.uses <- site ctx held e.pexp_loc txt :: ctx.sum.uses;
+      held
   | Pexp_sequence (a, b) ->
       let h = walk ctx held a in
       walk ctx h b
@@ -228,19 +254,11 @@ and invoke_under ctx held f =
              ctx.sum.params_under_lock)
       then
         ctx.sum.params_under_lock <- (p, held) :: ctx.sum.params_under_lock
-  | Pexp_ident { txt; _ } ->
-      ctx.sum.calls <-
-        {
-          callee = txt;
-          held_at = held;
-          call_line = f.pexp_loc.Location.loc_start.Lexing.pos_lnum;
-          call_args = [];
-          replayed = false;
-        }
-        :: ctx.sum.calls
+  | Pexp_ident { txt; _ } -> add_call ctx held f.pexp_loc txt []
   | _ -> ignore (walk ctx held f)
 
-and apply ctx held ~line lid args =
+and apply ctx held ~loc lid args =
+  let line = loc.Location.loc_start.Lexing.pos_lnum in
   let parts = flatten lid in
   let name = String.concat "." parts in
   match (name, args) with
@@ -280,20 +298,12 @@ and apply ctx held ~line lid args =
       held
   | _ ->
       let async = is_async_sink parts in
-      if parts <> [] then
-        ctx.sum.calls <-
-          {
-            callee = lid;
-            held_at = held;
-            call_line = line;
-            call_args = args;
-            replayed = false;
-          }
-          :: ctx.sum.calls;
+      if parts <> [] then add_call ctx held loc lid args;
       (* Arguments of an async sink — the task closure and anything
          used to build it, e.g. [Domain.spawn (worker_loop pool)] —
          run on the spawned domain with an empty lock set. *)
       let arg_held = if async then [] else held in
+      let arg_ctx = if async then { ctx with spawned = true } else ctx in
       List.iter
         (fun (_, a) ->
           match a.pexp_desc with
@@ -308,7 +318,7 @@ and apply ctx held ~line lid args =
                 ~line:(a.pexp_loc.Location.loc_start.Lexing.pos_lnum)
                 (String.concat "." (flatten txt))
                 held
-          | _ -> ignore (walk ctx arg_held a))
+          | _ -> ignore (walk arg_ctx arg_held a))
         args;
       held
 
@@ -317,7 +327,14 @@ and apply ctx held ~line lid args =
 
 let summarize findings edges (f : Callgraph.func) =
   let sum =
-    { func = f; acquires = []; blockers = []; calls = []; params_under_lock = [] }
+    {
+      func = f;
+      acquires = [];
+      blockers = [];
+      calls = [];
+      uses = [];
+      params_under_lock = [];
+    }
   in
   let ctx =
     {
@@ -325,6 +342,7 @@ let summarize findings edges (f : Callgraph.func) =
       modname = f.src.Ast_source.modname;
       file = f.src.Ast_source.path;
       params = List.map Callgraph.strip_param f.params;
+      spawned = false;
       findings;
       edges;
     }
@@ -335,8 +353,9 @@ let summarize findings edges (f : Callgraph.func) =
 (* Replay literal closures handed to discovered guard wrappers: when
    [g]'s summary says it invokes parameter [p] holding [L], a call
    [g ... (fun () -> body) ...] runs [body] with the caller's locks
-   plus [L]. One worklist pass; closures analysed at most once per
-   call site. *)
+   plus [L]. A function passed by name, [g ... f ...], is recorded as
+   a use under the same locks. One worklist pass; closures analysed at
+   most once per call site. *)
 let replay_wrapper_closures findings edges cg summaries by_fq =
   let queue = Queue.create () in
   List.iter (fun s -> List.iter (fun c -> Queue.push (s, c) queue) s.calls) summaries;
@@ -348,7 +367,7 @@ let replay_wrapper_closures findings edges cg summaries by_fq =
         List.concat_map
           (fun (g : Callgraph.func) -> Hashtbl.find_all by_fq g.fq)
           (Callgraph.resolve cg
-             ~current_module:s.func.src.Ast_source.modname c.callee)
+             ~current_module:s.func.src.Ast_source.modname c.site.target)
       in
       List.iter
         (fun (g : summary) ->
@@ -357,7 +376,10 @@ let replay_wrapper_closures findings edges cg summaries by_fq =
             List.iter
               (fun ((label : Asttypes.arg_label), arg) ->
                 if label = Nolabel then incr pos;
-                if is_closure arg then
+                if
+                  is_closure arg
+                  || match arg.pexp_desc with Pexp_ident _ -> true | _ -> false
+                then
                   match
                     Callgraph.param_for_arg g.func.params ~label
                       ~pos_index:!pos
@@ -366,9 +388,9 @@ let replay_wrapper_closures findings edges cg summaries by_fq =
                       match List.assoc_opt p g.params_under_lock with
                       | Some extra ->
                           let held =
-                            c.held_at
+                            c.site.held
                             @ List.filter
-                                (fun l -> not (List.mem l c.held_at))
+                                (fun l -> not (List.mem l c.site.held))
                                 extra
                           in
                           let before = s.calls in
@@ -380,6 +402,7 @@ let replay_wrapper_closures findings edges cg summaries by_fq =
                               params =
                                 List.map Callgraph.strip_param
                                   s.func.params;
+                              spawned = c.site.spawned;
                               findings;
                               edges;
                             }
@@ -393,7 +416,7 @@ let replay_wrapper_closures findings edges cg summaries by_fq =
                             s.calls
                       | None -> ())
                   | None -> ())
-              c.call_args
+              c.args
           end)
         callees
     end
@@ -458,7 +481,7 @@ let transitive summaries graph_resolve =
                 extend blockers;
                 extend locks)
               (graph_resolve
-                 ~current_module:s.func.src.Ast_source.modname c.callee))
+                 ~current_module:s.func.src.Ast_source.modname c.site.target))
           s.calls)
       summaries
   done;
@@ -533,31 +556,31 @@ let analyze (cg : Callgraph.t) =
             let message =
               Printf.sprintf "in %s: %s" s.func.Callgraph.fq message
             in
-            findings := { Lint.file; line; rule; message } :: !findings)
+            findings := { Ast_source.file; line; rule; message } :: !findings)
           fmt
       in
       List.iter
-        (fun c ->
-          if c.held_at <> [] then
+        (fun { site = c; _ } ->
+          if c.held <> [] then
             List.iter
               (fun (g : Callgraph.func) ->
                 (match Hashtbl.find_opt trans_blockers g.fq with
                 | Some ops ->
                     SM.iter
                       (fun op via ->
-                        ctx_find ~line:c.call_line ~rule:"blocking-under-lock"
+                        ctx_find ~line:c.line ~rule:"blocking-under-lock"
                           "call to %s can block in %s%s while holding %s"
                           g.fq op
                           (if via = "" then "" else " (via " ^ via ^ ")")
-                          (String.concat ", " c.held_at))
+                          (String.concat ", " c.held))
                       ops
                 | None -> ());
                 match Hashtbl.find_opt trans_locks g.fq with
                 | Some ls ->
                     SM.iter
                       (fun l via ->
-                        if List.mem l c.held_at then
-                          ctx_find ~line:c.call_line ~rule:"double-acquire"
+                        if List.mem l c.held then
+                          ctx_find ~line:c.line ~rule:"double-acquire"
                             "call to %s re-acquires %s%s already held here"
                             g.fq l
                             (if via = "" then "" else " (via " ^ via ^ ")")
@@ -569,15 +592,15 @@ let analyze (cg : Callgraph.t) =
                                   from_lock = h;
                                   to_lock = l;
                                   e_file = file;
-                                  e_line = c.call_line;
+                                  e_line = c.line;
                                   e_via = g.fq;
                                 }
                                 :: !edges)
-                            c.held_at)
+                            c.held)
                       ls
                 | None -> ())
               (resolve ~current_module:s.func.src.Ast_source.modname
-                 c.callee))
+                 c.target))
         s.calls)
     summaries;
   (* Lock-order cycles. *)
@@ -609,7 +632,7 @@ let analyze (cg : Callgraph.t) =
           in
           findings :=
             {
-              Lint.file = anchor.e_file;
+              Ast_source.file = anchor.e_file;
               line = anchor.e_line;
               rule = "lock-order-cycle";
               message =
@@ -620,4 +643,7 @@ let analyze (cg : Callgraph.t) =
             }
             :: !findings)
     sccs;
-  !findings
+  ( !findings,
+    List.map
+      (fun s -> (s.func, List.map (fun c -> c.site) s.calls @ s.uses))
+      summaries )

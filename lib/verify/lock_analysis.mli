@@ -52,6 +52,21 @@ val is_async_sink : string list -> bool
     [Thread.create], [*.submit], [Pool.map]/[Pool.try_map])? Shared
     with {!Escape_analysis}. *)
 
-val analyze : Callgraph.t -> Lint.finding list
+type site = {
+  target : Longident.t;  (** the callee, or the identifier used *)
+  held : string list;  (** mutexes held at the site *)
+  line : int;
+  pos : int;
+      (** character offset in the file: a closure replayed under a guard
+          wrapper records its sites a second time, at the same offsets *)
+  spawned : bool;  (** inside an argument of an async sink *)
+}
+(** A call site, or a use of an identifier as a value, with the lock
+    set the walk held there. *)
+
+val analyze :
+  Callgraph.t -> Ast_source.finding list * (Callgraph.func * site list) list
 (** All lock-discipline findings over the graph's sources, unfiltered
-    (suppression markers are applied by {!Ast_lint}). *)
+    (suppression markers are applied by {!Ast_lint}), and every
+    function's sites after guard-wrapper replay — the reachability
+    input of {!Escape_analysis}'s [unguarded-global] rule. *)

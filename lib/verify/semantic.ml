@@ -211,12 +211,7 @@ let report ?(options = default_options) ~subject (cfg : Machine.Config.t)
     else
       run (fun () ->
           try
-            let layout =
-              Ir.Layout.allocate
-                ~page_size:Machine.Config.default.Machine.Config.page_size
-                prog
-            in
-            let trace = Ir.Trace.create prog layout in
+            let trace = Locmap.Mapper.trace_of_program prog in
             let info =
               Locmap.Mapper.map ?estimation:options.estimation
                 ?fraction:options.fraction ~balance:options.balance

@@ -12,15 +12,13 @@
     - the {e concurrency analyzer} ({!Ast_lint} over {!Ast_source} /
       {!Callgraph} / {!Lock_analysis} / {!Escape_analysis}): a
       parsetree-based, interprocedural analysis of lock order,
-      blocking-under-lock, and domain-escape across the repository's
-      sources ([bin/locmap_lint.ml], [make lint]). The older lexical
-      token scan ({!Lint}) is kept as a fallback tier.
+      blocking-under-lock, domain-escape and unguarded globals across
+      the repository's sources ([bin/locmap_lint.ml], [make lint]).
 
     {b Thread safety}: stateless; see the submodule contracts. *)
 
 include module type of Semantic
 
-module Lint : module type of Lint
 module Ast_source : module type of Ast_source
 module Callgraph : module type of Callgraph
 module Lock_analysis : module type of Lock_analysis

@@ -152,15 +152,15 @@ let test_schedule_validate_errors () =
 (* ------------------------------------------------------------------ *)
 
 let test_event_heap_ordering () =
-  let h = Machine.Event_heap.create ~capacity:2 in
+  let h = Des.Event_heap.create ~capacity:2 in
   List.iter
-    (fun (t, id) -> Machine.Event_heap.push h ~time:t ~id)
+    (fun (t, id) -> Des.Event_heap.push h ~time:t ~id)
     [ (5, 0); (1, 1); (9, 2); (1, 3); (0, 4) ];
-  check_int "size" 5 (Machine.Event_heap.size h);
-  check_bool "peek" true (Machine.Event_heap.peek_time h = Some 0);
+  check_int "size" 5 (Des.Event_heap.size h);
+  check_bool "peek" true (Des.Event_heap.peek_time h = Some 0);
   let times = ref [] in
   let rec drain () =
-    match Machine.Event_heap.pop h with
+    match Des.Event_heap.pop h with
     | Some (t, _) ->
         times := t :: !times;
         drain ()
@@ -168,16 +168,16 @@ let test_event_heap_ordering () =
   in
   drain ();
   Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 5; 9 ] (List.rev !times);
-  check_bool "empty" true (Machine.Event_heap.is_empty h)
+  check_bool "empty" true (Des.Event_heap.is_empty h)
 
 let qcheck_heap_sorted =
   QCheck.Test.make ~name:"heap pops in non-decreasing time order" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 200) (int_bound 10_000))
     (fun times ->
-      let h = Machine.Event_heap.create ~capacity:4 in
-      List.iteri (fun id t -> Machine.Event_heap.push h ~time:t ~id) times;
+      let h = Des.Event_heap.create ~capacity:4 in
+      List.iteri (fun id t -> Des.Event_heap.push h ~time:t ~id) times;
       let rec drain last =
-        match Machine.Event_heap.pop h with
+        match Des.Event_heap.pop h with
         | None -> true
         | Some (t, _) -> t >= last && drain t
       in

@@ -276,9 +276,9 @@ let test_deadline_phase_boundary () =
 (* Pool crash isolation                                                *)
 
 let test_pool_crash_isolation () =
-  let pool = Service.Pool.create ~num_domains:2 () in
+  let pool = Par.Pool.create ~num_domains:2 () in
   let rs =
-    Service.Pool.try_map pool
+    Par.Pool.try_map pool
       (fun x -> if x = 2 then raise (Service.Fault.Crash "sim") else x * x)
       [| 0; 1; 2; 3; 4; 5 |]
   in
@@ -290,12 +290,12 @@ let test_pool_crash_isolation () =
           check int_t "only the crashed slot failed" 2 i
       | Error e -> Alcotest.failf "unexpected error: %s" (Printexc.to_string e))
     rs;
-  check int_t "one domain died" 1 (Service.Pool.crashes pool);
-  check int_t "width restored" 2 (Service.Pool.num_domains pool);
+  check int_t "one domain died" 1 (Par.Pool.crashes pool);
+  check int_t "width restored" 2 (Par.Pool.num_domains pool);
   (* The respawned worker keeps serving. *)
-  let ys = Service.Pool.map pool (fun x -> x + 1) [| 10; 20; 30 |] in
+  let ys = Par.Pool.map pool (fun x -> x + 1) [| 10; 20; 30 |] in
   Alcotest.(check (array int)) "pool still works" [| 11; 21; 31 |] ys;
-  Service.Pool.shutdown pool
+  Par.Pool.shutdown pool
 
 let crash_drain_at domains () =
   let reqs =

@@ -179,26 +179,26 @@ let test_cache_counters () =
 (* Pool                                                                *)
 
 let test_pool_map () =
-  let pool = Service.Pool.create ~num_domains:4 () in
+  let pool = Par.Pool.create ~num_domains:4 () in
   let xs = Array.init 100 Fun.id in
-  let ys = Service.Pool.map pool (fun x -> x * x) xs in
-  Service.Pool.shutdown pool;
+  let ys = Par.Pool.map pool (fun x -> x * x) xs in
+  Par.Pool.shutdown pool;
   Alcotest.(check (array int)) "squares in submission order"
     (Array.map (fun x -> x * x) xs)
     ys
 
 let test_pool_exception () =
-  let pool = Service.Pool.create ~num_domains:2 () in
+  let pool = Par.Pool.create ~num_domains:2 () in
   (match
-     Service.Pool.map pool
+     Par.Pool.map pool
        (fun x -> if x = 3 then failwith "boom" else x)
        [| 1; 2; 3; 4 |]
    with
   | _ -> Alcotest.fail "expected exception"
   | exception Failure msg -> check string_t "propagated" "boom" msg);
   (* The pool survives a failing batch. *)
-  let ys = Service.Pool.map pool (fun x -> x + 1) [| 1; 2 |] in
-  Service.Pool.shutdown pool;
+  let ys = Par.Pool.map pool (fun x -> x + 1) [| 1; 2 |] in
+  Par.Pool.shutdown pool;
   Alcotest.(check (array int)) "pool still works" [| 2; 3 |] ys
 
 (* ------------------------------------------------------------------ *)
