@@ -181,6 +181,81 @@ let test_localised_beats_scattered () =
   check_bool "near-MC placement has lower network latency" true
     (near.stats.Machine.Stats.net_latency < far.stats.Machine.Stats.net_latency)
 
+
+(* Golden simulator statistics: every [Machine.Stats] field for four
+   registry kernels x {private, shared} LLC x {Default, Location_aware}
+   at scale 0.1, recorded before the allocation-free hot path (event
+   heap hole sift, int-array deferred events, tag-first cache lookup,
+   route table, scratch iteration fill) replaced the original one. The
+   rewrite claims the same event order, so every field must stay
+   bit-identical; a change in tie order among equal-time events shows
+   here first as a cycles or net_queueing difference. Field order is
+   that of [stats_fields]. *)
+let stats_fields (s : Machine.Stats.t) =
+  Machine.Stats.
+    [|
+      s.cycles; s.overhead_cycles; s.accesses; s.l1_hits; s.l1_misses;
+      s.llc_hits; s.llc_misses; s.net_latency; s.net_queueing; s.net_packets;
+      s.net_hops; s.dram_row_hits; s.dram_row_misses; s.writebacks;
+    |]
+
+let stats_field_names =
+  [|
+    "cycles"; "overhead_cycles"; "accesses"; "l1_hits"; "l1_misses";
+    "llc_hits"; "llc_misses"; "net_latency"; "net_queueing"; "net_packets";
+    "net_hops"; "dram_row_hits"; "dram_row_misses"; "writebacks";
+  |]
+
+let golden =
+  [
+    ("fft", "private", "default", [| 119581; 0; 184320; 134316; 50004; 21960; 28044; 1280948; 107844; 54544; 279640; 27305; 739; 0 |]);
+    ("fft", "private", "la", [| 106377; 668; 184320; 135092; 49228; 21976; 27252; 719032; 58032; 49256; 152936; 26075; 1177; 0 |]);
+    ("fft", "shared", "default", [| 149041; 0; 184320; 134316; 50004; 36180; 13824; 2806763; 337819; 136900; 579806; 13343; 481; 13184 |]);
+    ("fft", "shared", "la", [| 125691; 668; 184320; 134920; 49400; 35576; 13824; 2045563; 264299; 126636; 410752; 13368; 456; 13158 |]);
+    ("lulesh", "private", "default", [| 118316; 0; 239616; 197144; 42472; 18032; 24440; 1095020; 76732; 47472; 242704; 24087; 353; 0 |]);
+    ("lulesh", "private", "la", [| 102979; 668; 239616; 200694; 38922; 17536; 21386; 474276; 16768; 38132; 104844; 20571; 815; 0 |]);
+    ("lulesh", "shared", "default", [| 138324; 0; 239616; 197144; 42472; 33246; 9226; 2085897; 201613; 105632; 443391; 8936; 290; 5231 |]);
+    ("lulesh", "shared", "la", [| 115525; 668; 239616; 198722; 40894; 31668; 9226; 1418024; 143172; 94918; 293882; 8936; 290; 5084 |]);
+    ("barnes", "private", "default", [| 303973; 0; 286720; 231832; 54888; 11744; 43144; 1923374; 113742; 83872; 431440; 43024; 120; 0 |]);
+    ("barnes", "private", "la", [| 274203; 6972; 286720; 233078; 53642; 12353; 41289; 1864135; 106423; 80360; 419338; 41169; 120; 0 |]);
+    ("barnes", "shared", "default", [| 189229; 0; 286720; 231832; 54888; 51048; 3840; 2353943; 184543; 125058; 508363; 3720; 120; 11201 |]);
+    ("barnes", "shared", "la", [| 195875; 6972; 286720; 232371; 54349; 50509; 3840; 2359051; 184631; 124336; 509799; 3720; 120; 11121 |]);
+    ("radix", "private", "default", [| 805587; 0; 368640; 127312; 241328; 41056; 200272; 9184642; 771706; 391388; 2004928; 200170; 1992; 1890 |]);
+    ("radix", "private", "la", [| 674530; 7238; 368640; 142873; 225767; 45949; 179818; 7571091; 682429; 347676; 1634673; 177823; 4580; 2585 |]);
+    ("radix", "shared", "default", [| 512258; 0; 368640; 127312; 241328; 213680; 27648; 13255451; 1870459; 647452; 2653174; 26784; 864; 128561 |]);
+    ("radix", "shared", "la", [| 498745; 7238; 368640; 135810; 232830; 205182; 27648; 12272564; 1782026; 622617; 2436301; 26784; 864; 126781 |]);
+  ]
+
+let test_golden_stats () =
+  Harness.Experiment.clear_cache ();
+  let prepared = Hashtbl.create 4 in
+  List.iter
+    (fun (kernel, llc, strategy, expected) ->
+      let p =
+        match Hashtbl.find_opt prepared kernel with
+        | Some p -> p
+        | None ->
+            let p = Harness.Experiment.prepare_name ~scale:0.1 kernel in
+            Hashtbl.add prepared kernel p;
+            p
+      in
+      let c =
+        if llc = "shared" then shared_cfg else cfg
+      in
+      let strat =
+        if strategy = "la" then Harness.Experiment.Location_aware
+        else Harness.Experiment.Default
+      in
+      let got = stats_fields (Harness.Experiment.run c p strat).stats in
+      Array.iteri
+        (fun i name ->
+          check_int
+            (Printf.sprintf "%s %s %s %s" kernel llc strategy name)
+            expected.(i) got.(i))
+        stats_field_names)
+    golden;
+  Harness.Experiment.clear_cache ()
+
 let () =
   Alcotest.run "engine"
     [
@@ -204,4 +279,6 @@ let () =
         [
           Alcotest.test_case "distance matters" `Quick test_localised_beats_scattered;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "stats of 4 kernels x llc x strategy" `Quick test_golden_stats ] );
     ]
