@@ -4,6 +4,7 @@
         bench-resilience bench-resilience-smoke bench-verify \
         bench-analysis bench-analysis-smoke bench-obs bench-obs-smoke \
         bench-loadgen bench-loadgen-smoke bench-sched sched-smoke \
+        bench-sim bench-sim-smoke \
         serve-smoke \
         chaos chaos-net sweep lint fmt fmt-check verify clean
 
@@ -81,6 +82,19 @@ bench-sched:
 
 sched-smoke:
 	dune exec bench/sched_bench.exe -- --smoke --out /dev/null
+
+# Simulator hot-path benchmark: Machine.Engine.run alone over the
+# evaluation path's 18 cases (nine kernels x private/shared LLC at
+# scale 0.25, Default and Location_aware schedules); writes
+# BENCH_sim.json with engine ms, ns, heap events and minor-heap words
+# per simulated access. The smoke variant is the CI gate: fft and
+# barnes, deterministic counters only — at most 4 minor words per
+# access, and no more heap events than BENCH_sim.json records.
+bench-sim:
+	dune exec bench/sim_bench.exe
+
+bench-sim-smoke:
+	dune exec bench/sim_bench.exe -- --smoke
 
 # End-to-end serve smoke: start `locmap serve` on an ephemeral port,
 # drive a loadgen burst to completion, then SIGTERM the server in the

@@ -11,6 +11,8 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable writebacks : int;
+  mutable victim_addr : int;  (* last miss's evicted line address; -1 *)
+  mutable victim_was_dirty : bool;
 }
 
 type result =
@@ -51,6 +53,8 @@ let create ~size ~assoc ~line_size () =
     hits = 0;
     misses = 0;
     writebacks = 0;
+    victim_addr = -1;
+    victim_was_dirty = false;
   }
 
 let line_of t addr =
@@ -59,87 +63,58 @@ let line_of t addr =
 let set_of t line =
   if t.line_shift >= 0 then line land t.set_mask else line mod t.sets
 
-let access t ~addr ~write =
+(* The one lookup. A hit needs only the tags, so the LRU stamps are
+   read only on a miss: the victim is the last invalid way of the set,
+   else the first way with the least-recent stamp. The victim goes to
+   [victim_addr]/[victim_was_dirty] rather than into a result block,
+   so the simulator's and the replay's inner loops allocate nothing. *)
+let access_hit t ~addr ~write =
   if addr < 0 then invalid_arg "Sa_cache.access: negative address";
   let line = line_of t addr in
-  let set = set_of t line in
-  let base = set * t.assoc in
+  let base = set_of t line * t.assoc in
+  let last = base + t.assoc - 1 in
+  let tags = t.tags in
   t.clock <- t.clock + 1;
-  (* Search the set for a hit, remembering the LRU (or an invalid)
-     way as the victim. *)
-  let found = ref (-1) in
-  let victim = ref (-1) in
-  let oldest = ref max_int in
-  let invalid = ref (-1) in
-  for w = base to base + t.assoc - 1 do
-    if t.tags.(w) = line then found := w
-    else if t.tags.(w) = -1 then invalid := w
-    else if t.stamp.(w) < !oldest then begin
-      oldest := t.stamp.(w);
-      victim := w
-    end
+  let w = ref base in
+  while !w <= last && Array.unsafe_get tags !w <> line do
+    incr w
   done;
-  let victim = if !invalid >= 0 then invalid else victim in
-  if !found >= 0 then begin
-    let w = !found in
-    t.stamp.(w) <- t.clock;
-    if write then Bytes.unsafe_set t.dirty w '\001';
-    t.hits <- t.hits + 1;
-    Hit
-  end
-  else begin
-    let w = !victim in
-    let victim_tag = t.tags.(w) in
-    let victim_dirty = victim_tag >= 0 && Bytes.unsafe_get t.dirty w = '\001' in
-    if victim_dirty then t.writebacks <- t.writebacks + 1;
-    let victim_line_addr = if victim_tag >= 0 then victim_tag * t.line_size else -1 in
-    t.tags.(w) <- line;
-    Bytes.unsafe_set t.dirty w (if write then '\001' else '\000');
-    t.stamp.(w) <- t.clock;
-    t.misses <- t.misses + 1;
-    Miss { victim_line_addr; victim_dirty }
-  end
-
-(* [access] for callers that only branch on hit/miss: identical state
-   transitions (clock, LRU stamps, dirtiness, counters — interleaving
-   with [access] is exact), but no result block is allocated. This is
-   the replay inner loop's variant: its allocation-budget test requires
-   zero words allocated per access. *)
-let access_hit t ~addr ~write =
-  if addr < 0 then invalid_arg "Sa_cache.access_hit: negative address";
-  let line = line_of t addr in
-  let set = set_of t line in
-  let base = set * t.assoc in
-  t.clock <- t.clock + 1;
-  let found = ref (-1) in
-  let victim = ref (-1) in
-  let oldest = ref max_int in
-  let invalid = ref (-1) in
-  for w = base to base + t.assoc - 1 do
-    if t.tags.(w) = line then found := w
-    else if t.tags.(w) = -1 then invalid := w
-    else if t.stamp.(w) < !oldest then begin
-      oldest := t.stamp.(w);
-      victim := w
-    end
-  done;
-  if !found >= 0 then begin
-    let w = !found in
-    t.stamp.(w) <- t.clock;
+  if !w <= last then begin
+    let w = !w in
+    Array.unsafe_set t.stamp w t.clock;
     if write then Bytes.unsafe_set t.dirty w '\001';
     t.hits <- t.hits + 1;
     true
   end
   else begin
+    let stamp = t.stamp in
+    let invalid = ref (-1) and victim = ref (-1) and oldest = ref max_int in
+    for w = base to last do
+      if Array.unsafe_get tags w = -1 then invalid := w
+      else if Array.unsafe_get stamp w < !oldest then begin
+        oldest := Array.unsafe_get stamp w;
+        victim := w
+      end
+    done;
     let w = if !invalid >= 0 then !invalid else !victim in
-    if t.tags.(w) >= 0 && Bytes.unsafe_get t.dirty w = '\001' then
-      t.writebacks <- t.writebacks + 1;
-    t.tags.(w) <- line;
+    let victim_tag = Array.unsafe_get tags w in
+    let dirty = victim_tag >= 0 && Bytes.unsafe_get t.dirty w = '\001' in
+    if dirty then t.writebacks <- t.writebacks + 1;
+    t.victim_addr <- (if victim_tag >= 0 then victim_tag * t.line_size else -1);
+    t.victim_was_dirty <- dirty;
+    Array.unsafe_set tags w line;
     Bytes.unsafe_set t.dirty w (if write then '\001' else '\000');
-    t.stamp.(w) <- t.clock;
+    Array.unsafe_set stamp w t.clock;
     t.misses <- t.misses + 1;
     false
   end
+
+let victim_line_addr t = t.victim_addr
+let victim_dirty t = t.victim_was_dirty
+
+let access t ~addr ~write =
+  if access_hit t ~addr ~write then Hit
+  else Miss { victim_line_addr = t.victim_addr; victim_dirty = t.victim_was_dirty }
 
 let probe t ~addr =
   let line = line_of t addr in
@@ -171,7 +146,9 @@ let reset t =
   t.clock <- 0;
   t.hits <- 0;
   t.misses <- 0;
-  t.writebacks <- 0
+  t.writebacks <- 0;
+  t.victim_addr <- -1;
+  t.victim_was_dirty <- false
 
 let hits t = t.hits
 let misses t = t.misses

@@ -30,15 +30,26 @@ val create : size:int -> assoc:int -> line_size:int -> unit -> t
 val access : t -> addr:int -> write:bool -> result
 (** [access t ~addr ~write] looks up the line containing [addr],
     installing it on a miss (write-allocate) and marking it dirty on a
-    write. LRU state is updated. *)
+    write. LRU state is updated. A thin wrapper over {!access_hit}
+    that packs the victim into the result. *)
 
 val access_hit : t -> addr:int -> write:bool -> bool
-(** [access] for callers that only branch on hit ([true]) vs miss
-    ([false]): identical state transitions — interleaving with
-    {!access} on the same cache is exact — but no victim information
-    and {e no allocation}. The analysis replay's inner loop uses this;
-    its allocation-budget test requires zero words allocated per
-    access. *)
+(** The lookup itself: [true] on a hit, [false] on a miss, with the
+    same state transitions as {!access} and {e no allocation}. A hit
+    reads only the set's tags; the LRU stamps are scanned only on a
+    miss to choose the victim (the last invalid way, else the first
+    least-recently used one), which {!victim_line_addr} and
+    {!victim_dirty} then report. The simulator and the analysis replay
+    call this in their inner loops. *)
+
+val victim_line_addr : t -> int
+(** Base address of the line the most recent miss evicted, [-1] if it
+    filled an invalid way (or no access has missed yet). Unchanged by a
+    hit. *)
+
+val victim_dirty : t -> bool
+(** Whether the most recent miss evicted a dirty line — a writeback the
+    caller must send. Unchanged by a hit. *)
 
 val probe : t -> addr:int -> bool
 (** [probe t ~addr] is [true] iff the line is resident. Does not update

@@ -18,7 +18,8 @@
       tie-break on the ids it popped (the cluster scheduler drains all
       events of the current time and sorts them by id).
 
-    Specialised to unboxed ints for speed.
+    Specialised to unboxed ints for speed; {!min_time} with {!pop_id}
+    drains it without allocating.
 
     {b Thread safety}: not thread-safe. A heap is private to the event
     loop that allocated it and is mutated without locks. *)
@@ -33,6 +34,17 @@ val push : t -> time:int -> id:int -> unit
 
 val pop : t -> (int * int) option
 (** Smallest-time event as [(time, id)], or [None] when empty. *)
+
+val min_time : t -> int
+(** Time of the event {!pop_id} would return. Raises
+    [Invalid_argument] on an empty heap. *)
+
+val pop_id : t -> int
+(** Removes the smallest-time event and returns its id, allocating
+    nothing: the simulator's drain loop reads {!min_time} first. It is
+    the same removal as {!pop} (same comparisons, same array layout
+    afterwards), so mixing the two changes no pop order. Raises
+    [Invalid_argument] on an empty heap. *)
 
 val peek_time : t -> int option
 

@@ -192,22 +192,6 @@ let iter_range ?(step = 0) t ~nest ~lo ~hi f =
         f ~addr:(addr_of cn vals ca) ~write:(is_write ca))
   done
 
-let fill_iteration ?(step = 0) t ~nest ~iter ~buf =
-  let cn = get_nest t nest in
-  if iter < 0 || iter >= cn.iterations then
-    invalid_arg "Trace.fill_iteration: iteration out of range";
-  if Array.length buf < cn.appi then
-    invalid_arg "Trace.fill_iteration: buffer too small";
-  let vals = Array.make cn.nvars 0 in
-  vals.(0) <- step;
-  vals.(1) <- cn.par.lo + (iter * cn.par.step);
-  let n = ref 0 in
-  iter_inner cn vals (fun ca ->
-      let addr = addr_of cn vals ca in
-      buf.(!n) <- (addr lsl 1) lor (if is_write ca then 1 else 0);
-      incr n);
-  !n
-
 (* Visit the accesses of one body reference whose per-reference
    execution counter is [first], [first + period], ... below [hi].
    Execution counters order a single reference's executions: one per
@@ -392,10 +376,10 @@ let par_loop t ~nest = (get_nest t nest).par
 let inner_loops t ~nest = Array.copy (get_nest t nest).inner
 
 (* ------------------------------------------------------------------ *)
-(* Preallocated replay scratch. [iter_range] allocates one loop-variable
+(* Preallocated scratch. [iter_range] allocates one loop-variable
    vector per call; the observed replay calls it once per set per chunk
-   and its allocation-budget test wants the steady-state inner loop to
-   allocate nothing at all, so callers preallocate the vector once and
+   and the simulator fills one iteration at a time, and both have
+   allocation-budget tests, so callers preallocate the vector once and
    walk through it. *)
 
 type scratch = { mutable svals : int array }
@@ -445,3 +429,56 @@ let iter_range_s ?(step = 0) t sc ~nest ~lo ~hi f =
     vals.(1) <- cn.par.lo + (i * cn.par.step);
     go 0
   done
+
+(* One parallel iteration into [buf] through the scratch vector. The
+   inner loops run as an odometer — innermost fastest, the order of
+   [iter_inner]'s recursion — so the walk builds no closure: the
+   simulator calls this once per iteration of every core. Loop bounds
+   are constants, so one empty inner loop empties the whole iteration. *)
+let fill_iteration_s t sc ~step ~nest ~iter ~buf =
+  let cn = get_nest t nest in
+  if iter < 0 || iter >= cn.iterations then
+    invalid_arg "Trace.fill_iteration_s: iteration out of range";
+  if Array.length buf < cn.appi then
+    invalid_arg "Trace.fill_iteration_s: buffer too small";
+  let vals = scratch_vals sc cn in
+  vals.(0) <- step;
+  vals.(1) <- cn.par.lo + (iter * cn.par.step);
+  let inner = cn.inner and body = cn.body in
+  let ninner = Array.length inner and nbody = Array.length body in
+  let live = ref true in
+  for d = 0 to ninner - 1 do
+    let l = inner.(d) in
+    if l.lo >= l.hi then live := false;
+    vals.(d + 2) <- l.lo
+  done;
+  let n = ref 0 in
+  while !live do
+    for b = 0 to nbody - 1 do
+      let ca = Array.unsafe_get body b in
+      buf.(!n) <- (addr_of cn vals ca lsl 1) lor (if is_write ca then 1 else 0);
+      incr n
+    done;
+    (* Advance the innermost loop, carrying outwards; a carry out of
+       the outermost inner loop ends the iteration. *)
+    let d = ref (ninner - 1) and carry = ref true in
+    while !carry do
+      if !d < 0 then begin
+        carry := false;
+        live := false
+      end
+      else begin
+        let l = Array.unsafe_get inner !d in
+        let v = vals.(!d + 2) + l.step in
+        if v < l.hi then begin
+          vals.(!d + 2) <- v;
+          carry := false
+        end
+        else begin
+          vals.(!d + 2) <- l.lo;
+          decr d
+        end
+      end
+    done
+  done;
+  !n

@@ -50,19 +50,11 @@ val iter_range :
     [Invalid_argument] on a range outside the nest's iteration space,
     or if an indirection reads outside its index table. *)
 
-val fill_iteration :
-  ?step:int -> t -> nest:int -> iter:int -> buf:int array -> int
-(** [fill_iteration t ~nest ~iter ~buf] writes the encoded accesses of
-    one parallel iteration into [buf] and returns their count. Each
-    element encodes [(addr lsl 1) lor write_bit] — see {!decode_addr}
-    and {!decode_write}. [buf] must hold at least
-    [accesses_per_par_iter] elements. *)
-
 val fill_range :
   ?step:int -> t -> nest:int -> lo:int -> hi:int -> buf:int array -> int
 (** [fill_range t ~nest ~lo ~hi ~buf] expands parallel iterations
     [lo, hi) of [nest] into [buf] — the same
-    [(addr lsl 1) lor write_bit] encoding as {!fill_iteration}, in
+    [(addr lsl 1) lor write_bit] encoding as {!fill_iteration_s}, in
     exactly the order {!iter_range} emits — and returns the access
     count ([(hi - lo) * accesses_per_par_iter]). [buf] must hold at
     least that many elements. The flat buffer lets hot consumers (the
@@ -160,17 +152,18 @@ val inner_loops : t -> nest:int -> Loop_nest.loop array
 (** Inner loops of a nest, outermost first (fresh copy) — the trip
     counts and steps the symbolic tier folds into its progressions. *)
 
-(** {2 Preallocated replay scratch}
+(** {2 Preallocated scratch}
 
     {!iter_range} allocates one loop-variable vector per call. The
-    observed replay iterates set-by-set over the whole trace and its
-    inner loop must allocate {e zero} words per access (the
-    allocation-budget test gates this), so it preallocates the vector
-    once in a [scratch] and reuses it across every walk.
+    observed replay and the simulator walk the whole trace, and their
+    inner loops must allocate nothing per access (allocation-budget
+    tests gate both). So each preallocates the vector once in a
+    [scratch] and reuses it across every walk: one per replay, one per
+    simulated core.
 
     {b Thread safety}: a scratch is not thread-safe — it is private
-    mutable state of the single replay that made it; never share one
-    across domains. The trace itself stays immutable and freely
+    mutable state of the single replay or core that made it; never
+    share one across domains. The trace itself stays immutable and freely
     shareable. *)
 
 type scratch
@@ -191,3 +184,15 @@ val iter_range_s :
 (** Exactly {!iter_range} — same order, same addresses — but walking
     through the caller's [scratch] instead of allocating: the only
     per-call cost beyond the walk is clearing the vector. *)
+
+val fill_iteration_s :
+  t -> scratch -> step:int -> nest:int -> iter:int -> buf:int array -> int
+(** [fill_iteration_s t sc ~step ~nest ~iter ~buf] writes the encoded
+    accesses of one parallel iteration into [buf], in {!iter_range}
+    order, and returns their count. Each element encodes
+    [(addr lsl 1) lor write_bit] — see {!decode_addr} and
+    {!decode_write}. [buf] must hold at least [accesses_per_par_iter]
+    elements. The loop variables live in the caller's [scratch], and
+    the walk allocates nothing: the simulator fills every iteration of
+    a core through that core's scratch. [step] is required rather than
+    optional, since passing an optional argument would allocate. *)

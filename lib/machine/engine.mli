@@ -18,6 +18,13 @@
       serialisation, then either data bank→core (hit) or request
       bank→MC, DRAM, data MC→bank→core (miss).
 
+    The per-access and per-event path allocates nothing (at most 4
+    minor-heap words per simulated access over a whole run, setup
+    included, is a tested budget). Equal-time events pop in the
+    event heap's fixed tie order, and that order is part of the result:
+    it decides which of two simultaneous packets queues behind the
+    other.
+
     {b Thread safety}: not thread-safe. An engine run owns all of its
     simulation state (caches, heap, network, DRAM, stats); the service
     layer runs one simulation per request and never shares a run
@@ -53,6 +60,9 @@ type result = {
   net_latency_histogram : int array;
       (** bucket [k] counts packets with latency in [2^k, 2^(k+1)) *)
   link_busy : int array;  (** cumulative occupancy per directed link *)
+  events : int;
+      (** events popped from the global heap: core resumptions plus
+          deferred miss stages — the engine's unit of bookkeeping work *)
 }
 
 val run :

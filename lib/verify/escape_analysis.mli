@@ -16,11 +16,13 @@
       lock held, unless the name is a top-level [Atomic.make] or
       [Mutex.create] binding.
 
-    "No lock held" is judged inside the closure: a region under
-    [Mutex.protect] or after [Mutex.lock] in the same sequence is
-    considered guarded. Reads of immutable captures, [Atomic] traffic
-    and lock-disciplined access are never flagged; mutation through
-    any captured alias is.
+    "No lock held" is {!Lock_analysis}'s verdict at the identifier: a
+    region under [Mutex.protect], between [Mutex.lock] and
+    [Mutex.unlock], or inside a closure handed to a discovered guard
+    wrapper ([with_lock (fun () -> hits := !hits + 1)] with a
+    [Mutex.lock] + [Fun.protect] wrapper) is guarded. Reads of
+    immutable captures, [Atomic] traffic and lock-disciplined access
+    are never flagged; mutation through any captured alias is.
 
     The [domain-escape] rule is intra-closure. State reached through
     calls is the [unguarded-global] rule's: every function reachable

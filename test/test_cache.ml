@@ -122,6 +122,132 @@ let qcheck_hit_rate_bounds =
       let r = Cache.Sa_cache.hit_rate c in
       r >= 0. && r <= 1.)
 
+(* The lookup the tag-first one replaced: one pass over the set reading
+   tags and LRU stamps together, remembering the last invalid way and
+   the first least-recent valid way as the victim. A test-local copy,
+   kept as the reference the rewrite must match access for access. *)
+module Ref_cache = struct
+  type t = {
+    line_size : int;
+    sets : int;
+    assoc : int;
+    tags : int array;
+    dirty : bool array;
+    stamp : int array;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable writebacks : int;
+  }
+
+  let create ~size ~assoc ~line_size =
+    let lines = size / line_size in
+    {
+      line_size;
+      sets = lines / assoc;
+      assoc;
+      tags = Array.make lines (-1);
+      dirty = Array.make lines false;
+      stamp = Array.make lines 0;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      writebacks = 0;
+    }
+
+  (* [None] on a hit, [Some (victim_line_addr, victim_dirty)] on a miss. *)
+  let access t ~addr ~write =
+    let line = addr / t.line_size in
+    let base = line mod t.sets * t.assoc in
+    t.clock <- t.clock + 1;
+    let found = ref (-1) and victim = ref (-1) in
+    let oldest = ref max_int and invalid = ref (-1) in
+    for w = base to base + t.assoc - 1 do
+      if t.tags.(w) = line then found := w
+      else if t.tags.(w) = -1 then invalid := w
+      else if t.stamp.(w) < !oldest then begin
+        oldest := t.stamp.(w);
+        victim := w
+      end
+    done;
+    if !found >= 0 then begin
+      t.stamp.(!found) <- t.clock;
+      if write then t.dirty.(!found) <- true;
+      t.hits <- t.hits + 1;
+      None
+    end
+    else begin
+      let w = if !invalid >= 0 then !invalid else !victim in
+      let tag = t.tags.(w) in
+      let vdirty = tag >= 0 && t.dirty.(w) in
+      if vdirty then t.writebacks <- t.writebacks + 1;
+      t.tags.(w) <- line;
+      t.dirty.(w) <- write;
+      t.stamp.(w) <- t.clock;
+      t.misses <- t.misses + 1;
+      Some ((if tag >= 0 then tag * t.line_size else -1), vdirty)
+    end
+
+  let invalidate t ~addr =
+    let line = addr / t.line_size in
+    let base = line mod t.sets * t.assoc in
+    for w = base to base + t.assoc - 1 do
+      if t.tags.(w) = line then begin
+        t.tags.(w) <- -1;
+        t.dirty.(w) <- false
+      end
+    done
+end
+
+let test_reference_lookup () =
+  (* (size, assoc, line): power-of-two, direct-mapped, fully
+     associative, and non-power-of-two sets and lines (the division
+     path). Seeded addresses over a few capacities, so sets fill, evict
+     and hit; an occasional invalidate leaves holes for the
+     last-invalid-way rule. Both [access] and [access_hit] are driven. *)
+  let geometries =
+    [ (1024, 2, 64); (32768, 8, 64); (512, 1, 32); (1024, 16, 64);
+      (960, 3, 64); (720, 5, 48) ]
+  in
+  let rng = Random.State.make [| 42 |] in
+  List.iter
+    (fun (size, assoc, line_size) ->
+      let c = Cache.Sa_cache.create ~size ~assoc ~line_size () in
+      let r = Ref_cache.create ~size ~assoc ~line_size in
+      let name = Printf.sprintf "%d/%d/%d" size assoc line_size in
+      for i = 1 to 20_000 do
+        let addr = Random.State.int rng (4 * size) in
+        if Random.State.int rng 50 = 0 then begin
+          Cache.Sa_cache.invalidate c ~addr;
+          Ref_cache.invalidate r ~addr
+        end
+        else begin
+          let write = Random.State.bool rng in
+          let got =
+            if i land 1 = 0 then
+              match Cache.Sa_cache.access c ~addr ~write with
+              | Cache.Sa_cache.Hit -> None
+              | Cache.Sa_cache.Miss { victim_line_addr; victim_dirty } ->
+                  Some (victim_line_addr, victim_dirty)
+            else if Cache.Sa_cache.access_hit c ~addr ~write then None
+            else
+              Some
+                (Cache.Sa_cache.victim_line_addr c, Cache.Sa_cache.victim_dirty c)
+          in
+          let want = Ref_cache.access r ~addr ~write in
+          if got <> want then
+            Alcotest.failf "%s: access %d (addr %d) diverges from the reference"
+              name i addr
+        end
+      done;
+      check_int (name ^ " hits") r.Ref_cache.hits (Cache.Sa_cache.hits c);
+      check_int (name ^ " misses") r.Ref_cache.misses (Cache.Sa_cache.misses c);
+      check_int (name ^ " writebacks") r.Ref_cache.writebacks
+        (Cache.Sa_cache.writebacks c);
+      check_bool (name ^ " saw both outcomes") true
+        (r.Ref_cache.hits > 0 && r.Ref_cache.misses > 0))
+    geometries
+
 let () =
   Alcotest.run "cache"
     [
@@ -137,6 +263,7 @@ let () =
           Alcotest.test_case "invalidate" `Quick test_invalidate;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "full-way residency" `Quick test_full_way_residency;
+          Alcotest.test_case "reference lookup" `Quick test_reference_lookup;
           QCheck_alcotest.to_alcotest qcheck_streaming_misses;
           QCheck_alcotest.to_alcotest qcheck_hit_rate_bounds;
         ] );

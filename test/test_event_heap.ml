@@ -90,6 +90,105 @@ let test_negative_time () =
        false
      with Invalid_argument _ -> true)
 
+(* The swap-based heap the hole sifts replaced, kept as the reference
+   for tie order: the simulator's statistics depend on which of several
+   equal-time events pops first, so the rewrite must reproduce this
+   heap's pop sequence exactly, not merely a sorted one. *)
+module Swap_heap = struct
+  type t = { mutable times : int array; mutable ids : int array; mutable len : int }
+
+  let create () = { times = Array.make 1 0; ids = Array.make 1 0; len = 0 }
+
+  let swap t i j =
+    let tt = t.times.(i) and ti = t.ids.(i) in
+    t.times.(i) <- t.times.(j);
+    t.ids.(i) <- t.ids.(j);
+    t.times.(j) <- tt;
+    t.ids.(j) <- ti
+
+  let push t ~time ~id =
+    if t.len = Array.length t.times then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      t.times <- grow t.times;
+      t.ids <- grow t.ids
+    end;
+    t.times.(t.len) <- time;
+    t.ids.(t.len) <- id;
+    let i = ref t.len in
+    t.len <- t.len + 1;
+    while !i > 0 && t.times.((!i - 1) / 2) > t.times.(!i) do
+      swap t !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  let pop t =
+    if t.len = 0 then None
+    else begin
+      let time = t.times.(0) and id = t.ids.(0) in
+      t.len <- t.len - 1;
+      if t.len > 0 then begin
+        t.times.(0) <- t.times.(t.len);
+        t.ids.(0) <- t.ids.(t.len);
+        let i = ref 0 in
+        let continue = ref true in
+        while !continue do
+          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+          let smallest = ref !i in
+          if l < t.len && t.times.(l) < t.times.(!smallest) then smallest := l;
+          if r < t.len && t.times.(r) < t.times.(!smallest) then smallest := r;
+          if !smallest <> !i then begin
+            swap t !i !smallest;
+            i := !smallest
+          end
+          else continue := false
+        done
+      end;
+      Some (time, id)
+    end
+end
+
+let test_swap_heap_equivalence () =
+  (* Seeded push/pop scripts over a handful of distinct times, so most
+     events tie. Pops alternate between [pop] and [min_time]+[pop_id]. *)
+  let rng = Random.State.make [| 2024 |] in
+  for round = 1 to 200 do
+    let distinct = 1 + Random.State.int rng 6 in
+    let n = 1 + Random.State.int rng 400 in
+    let h = Des.Event_heap.create ~capacity:(1 + Random.State.int rng 4) in
+    let r = Swap_heap.create () in
+    let got = ref [] and want = ref [] in
+    let pop_both k =
+      want := Swap_heap.pop r :: !want;
+      got :=
+        (if Des.Event_heap.is_empty h then None
+         else if k land 1 = 0 then Des.Event_heap.pop h
+         else
+           let time = Des.Event_heap.min_time h in
+           Some (time, Des.Event_heap.pop_id h))
+        :: !got
+    in
+    for i = 0 to n - 1 do
+      if Random.State.int rng 3 = 0 then pop_both i
+      else begin
+        let time = Random.State.int rng distinct * 10 in
+        Des.Event_heap.push h ~time ~id:i;
+        Swap_heap.push r ~time ~id:i
+      end
+    done;
+    for k = 0 to Des.Event_heap.size h do
+      pop_both k
+    done;
+    check_bool
+      (Printf.sprintf "round %d: same (time, id) sequence" round)
+      true (!got = !want)
+  done
+
+let test_pop_id_empty () =
+  let h = Des.Event_heap.create ~capacity:1 in
+  let raises f = try ignore (f h); false with Invalid_argument _ -> true in
+  check_bool "min_time empty" true (raises Des.Event_heap.min_time);
+  check_bool "pop_id empty" true (raises Des.Event_heap.pop_id)
+
 let () =
   Alcotest.run "event_heap"
     [
@@ -100,5 +199,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "sorted reference" `Quick test_sorted_reference;
           Alcotest.test_case "negative time" `Quick test_negative_time;
+          Alcotest.test_case "swap-heap pop order" `Quick test_swap_heap_equivalence;
+          Alcotest.test_case "pop_id on empty" `Quick test_pop_id_empty;
         ] );
     ]

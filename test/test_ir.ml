@@ -190,7 +190,10 @@ let test_trace_fill_matches_iter_range () =
   let l = Ir.Layout.allocate ~page_size:2048 p in
   let t = Ir.Trace.create p l in
   let buf = Array.make (Ir.Trace.accesses_per_par_iter t ~nest:0) 0 in
-  let n = Ir.Trace.fill_iteration t ~nest:0 ~iter:3 ~buf in
+  let n =
+    Ir.Trace.fill_iteration_s t (Ir.Trace.make_scratch t) ~step:0 ~nest:0
+      ~iter:3 ~buf
+  in
   let via_range = ref [] in
   Ir.Trace.iter_range t ~nest:0 ~lo:3 ~hi:4 (fun ~addr ~write ->
       via_range := (addr, write) :: !via_range);
@@ -265,6 +268,39 @@ let test_trace_indirect_bounds () =
        false
      with Invalid_argument _ -> true)
 
+let test_trace_fill_scratch_registry () =
+  (* The simulator's closure-free fill against iter_range on every
+     registry kernel: inner-loop nests of every depth, non-unit steps,
+     indirect references, and a non-zero step variable. One scratch is
+     shared by all nests of a trace, as the engine shares a core's. *)
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      let p = e.program ~scale:0.05 () in
+      let t = Ir.Trace.create p (Ir.Layout.allocate ~page_size:2048 p) in
+      let sc = Ir.Trace.make_scratch t in
+      let step = p.Ir.Program.time_steps - 1 in
+      for nest = 0 to Ir.Trace.num_nests t - 1 do
+        let iters = Ir.Trace.iterations t ~nest in
+        let buf = Array.make (Ir.Trace.accesses_per_par_iter t ~nest) 0 in
+        let stride = max 1 (iters / 7) in
+        let iter = ref 0 in
+        while !iter < iters do
+          let n = Ir.Trace.fill_iteration_s t sc ~step ~nest ~iter:!iter ~buf in
+          let want = ref [] in
+          Ir.Trace.iter_range ~step t ~nest ~lo:!iter ~hi:(!iter + 1)
+            (fun ~addr ~write -> want := (addr, write) :: !want);
+          let got =
+            List.init n (fun k ->
+                (Ir.Trace.decode_addr buf.(k), Ir.Trace.decode_write buf.(k)))
+          in
+          Alcotest.(check (list (pair int bool)))
+            (Printf.sprintf "%s nest %d iter %d" e.name nest !iter)
+            (List.rev !want) got;
+          iter := !iter + stride
+        done
+      done)
+    Workloads.Registry.all
+
 let () =
   Alcotest.run "ir"
     [
@@ -293,6 +329,8 @@ let () =
         [
           Alcotest.test_case "emission order" `Quick test_trace_emission_order;
           Alcotest.test_case "fill = iter_range" `Quick test_trace_fill_matches_iter_range;
+          Alcotest.test_case "scratch fill = iter_range (registry)" `Quick
+            test_trace_fill_scratch_registry;
           Alcotest.test_case "step variable" `Quick test_trace_step_variable;
           Alcotest.test_case "static bounds" `Quick test_trace_bounds_check;
           Alcotest.test_case "indirect bounds" `Quick test_trace_indirect_bounds;

@@ -2,7 +2,7 @@
    observed replay: plan decomposition against the brute-force
    classifier law, symbolic-vs-walker equivalence over the whole
    registry, tier coverage accounting, Affine algebra laws,
-   access_hit = access, and the replay allocation budget. *)
+   access_hit = access, and the replay and engine allocation budgets. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -312,6 +312,33 @@ let test_replay_allocation_budget () =
     true
     (allocated < 2_097_152.)
 
+(* Engine allocation budget: the simulator's per-access and per-event
+   path allocates nothing, so a whole [Engine.run] — caches, network,
+   schedules and per-phase set lists included — stays within a few
+   minor-heap words per simulated access. radix is the kernel whose
+   events per access are highest (irregular misses on both LLCs); the
+   boxed-event engine allocated ~50-75 words per access on it. *)
+
+let test_engine_allocation_budget () =
+  let _, trace = prepare "radix" in
+  List.iter
+    (fun (cfg : Machine.Config.t) ->
+      let schedule = Locmap.Mapper.default_schedule cfg trace in
+      let run () = Machine.Engine.run_single cfg ~trace ~schedule () in
+      ignore (run ());
+      let before = Gc.minor_words () in
+      let r = run () in
+      let words = Gc.minor_words () -. before in
+      let accesses = r.stats.Machine.Stats.accesses in
+      check_bool "workload is large enough to measure" true (accesses > 100_000);
+      let per_access = words /. float_of_int accesses in
+      check_bool
+        (Printf.sprintf "%s LLC: %.2f minor words per access (budget 4)"
+           (if cfg.llc_org = Cache.Llc.Shared then "shared" else "private")
+           per_access)
+        true (per_access <= 4.))
+    [ private_cfg; shared_cfg ]
+
 let () =
   Alcotest.run "symbolic"
     [
@@ -339,5 +366,7 @@ let () =
         [
           Alcotest.test_case "replay allocates nothing per access" `Quick
             test_replay_allocation_budget;
+          Alcotest.test_case "engine within 4 words per access" `Quick
+            test_engine_allocation_budget;
         ] );
     ]
