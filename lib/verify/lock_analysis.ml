@@ -14,6 +14,7 @@ type site = {
   line : int;
   pos : int;
   spawned : bool;
+  param : bool;
 }
 
 type call = {
@@ -89,13 +90,14 @@ let is_async_sink parts =
 let is_closure e =
   match e.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
 
-let site ctx held (loc : Location.t) target =
+let site ?(param = false) ctx held (loc : Location.t) target =
   {
     target;
     held;
     line = loc.loc_start.pos_lnum;
     pos = loc.loc_start.pos_cnum;
     spawned = ctx.spawned;
+    param;
   }
 
 let add_call ctx held loc callee args =
@@ -176,7 +178,12 @@ let rec walk ctx held (e : expression) : string list =
   match e.pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt = lid; _ }; _ }, args) ->
       apply ctx held ~loc:e.pexp_loc lid args
-  | Pexp_ident { txt = Longident.Lident x; _ } when List.mem x ctx.params ->
+  | Pexp_ident { txt = Longident.Lident x as txt; _ }
+    when List.mem x ctx.params ->
+      (* Recorded for its lock set only: a parameter never resolves to
+         a function. *)
+      ctx.sum.uses <-
+        site ~param:true ctx held e.pexp_loc txt :: ctx.sum.uses;
       held
   | Pexp_ident { txt; _ } ->
       ctx.sum.uses <- site ctx held e.pexp_loc txt :: ctx.sum.uses;

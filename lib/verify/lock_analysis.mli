@@ -60,6 +60,9 @@ type site = {
       (** character offset in the file: a closure replayed under a guard
           wrapper records its sites a second time, at the same offsets *)
   spawned : bool;  (** inside an argument of an async sink *)
+  param : bool;
+      (** a use of the enclosing function's own parameter: it carries a
+          lock set but names no function *)
 }
 (** A call site, or a use of an identifier as a value, with the lock
     set the walk held there. *)
